@@ -15,9 +15,13 @@
 //!   [`RebuildPolicy::max_removed`]);
 //! * **distribution drift**: [`DriftTracker`] keeps the same statistics
 //!   and L1-drift detector as the adaptive filter (paper §4.2/§5) and
-//!   fires a full rebuild when the empirical event distribution has
-//!   moved [`RebuildPolicy::drift_threshold`] away from the one the
-//!   tree was optimised for.
+//!   fires when the empirical event distribution has moved
+//!   [`RebuildPolicy::drift_threshold`] away from the one the tree was
+//!   optimised for. Only a tree the event model shapes
+//!   ([`TreeConfig::needs_event_model`](crate::TreeConfig::needs_event_model))
+//!   is recompiled for that; any other tree would come out identical,
+//!   so the caller absorbs the trigger with
+//!   [`DriftTracker::absorb_drift`] instead.
 
 use ens_dist::{JointDist, Pmf};
 use ens_types::{AttrId, Event, ProfileSet};
@@ -32,6 +36,15 @@ use crate::FilterError;
 /// Unifies the adaptive drift trigger (the first three fields, identical
 /// to [`AdaptivePolicy`]) with the incremental-subscription compaction
 /// thresholds.
+///
+/// What a drift trigger recompiles depends on the tree configuration.
+/// Trees the event model shapes — V1/V3 value orders, A2/A3 attribute
+/// orders ([`TreeConfig::needs_event_model`](crate::TreeConfig::needs_event_model))
+/// or an accepted retune — are rebuilt under the fresh estimate. Any
+/// other tree compiles the same under every model, so when no churn is
+/// pending the `ens-service` broker keeps its snapshot and only
+/// re-baselines the detector ([`DriftTracker::absorb_drift`]); pending
+/// overlay or tombstones are still folded in by a full compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebuildPolicy {
     /// Do not consider a drift rebuild before this many events were
@@ -233,6 +246,24 @@ impl DriftTracker {
         Ok(())
     }
 
+    /// Absorbs a pure drift trigger without rebuilding, for a tree the
+    /// event model does not shape
+    /// ([`TreeConfig::needs_event_model`](crate::TreeConfig::needs_event_model)
+    /// is false): recompiling it would reproduce the current snapshot.
+    /// Leaves the tracker exactly as a pure drift rebuild
+    /// ([`DriftTracker::prepare_model`] then
+    /// [`DriftTracker::finish_rebuild`]) would — assumed PMFs
+    /// re-derived, counter reset and, unlike
+    /// [`DriftTracker::decline_rebuild`], the history decayed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates distribution errors.
+    pub fn absorb_drift(&mut self) -> Result<(), FilterError> {
+        self.pending = None;
+        self.finish_rebuild(true)
+    }
+
     /// First rebuild phase: the event model the new tree should be
     /// optimised for.
     ///
@@ -399,6 +430,49 @@ mod tests {
             }
         }
         assert!(refired, "new drift away from the declined estimate");
+    }
+
+    #[test]
+    fn absorbed_drift_leaves_the_state_of_a_rebuild() {
+        let (schema, ps) = setup();
+        let policy = RebuildPolicy {
+            min_events: 20,
+            drift_threshold: 0.3,
+            decay_on_rebuild: true,
+            ..RebuildPolicy::default()
+        };
+        let mut rebuilt = DriftTracker::new(&ps, policy).unwrap();
+        let mut absorbed = DriftTracker::new(&ps, policy).unwrap();
+        let mut declined = DriftTracker::new(&ps, policy).unwrap();
+        // A staged (abandoned) compaction must not leak into any.
+        let mut bigger = ps.clone();
+        bigger
+            .insert_with(|b| b.predicate("x", Predicate::between(40, 59)))
+            .unwrap();
+        for t in [&mut rebuilt, &mut absorbed, &mut declined] {
+            t.prepare_model(&bigger, false).unwrap();
+            while !t.observe(&event(&schema, 85)).unwrap() {}
+        }
+        rebuilt.prepare_model(&ps, true).unwrap();
+        rebuilt.finish_rebuild(true).unwrap();
+        absorbed.absorb_drift().unwrap();
+        declined.decline_rebuild().unwrap();
+        let state = |t: &DriftTracker| {
+            (
+                t.events_since_rebuild(),
+                t.statistics().events_posted(),
+                t.statistics().empirical_model().unwrap(),
+                t.current_drift().unwrap(),
+            )
+        };
+        assert_eq!(state(&absorbed), state(&rebuilt));
+        // The decay is what sets absorbing apart from declining.
+        assert_ne!(state(&absorbed).2, state(&declined).2);
+        for _ in 0..30 {
+            let e = event(&schema, 15);
+            assert_eq!(absorbed.observe(&e).unwrap(), rebuilt.observe(&e).unwrap());
+        }
+        assert_eq!(state(&absorbed), state(&rebuilt));
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   untouched), so overlay matching costs O(postings hit) instead of
 //!   the naive side-matcher's O(profiles × predicates);
 //! * [`FilterSnapshot::with_removed`] — O(base) copy of the tombstone
-//!   bitmap for unsubscriptions (tree, DFSA and overlay shared).
+//!   bitmap for unsubscriptions (tree, DFSA and overlay shared);
+//! * [`FilterSnapshot::with_tree`] — tree + DFSA rebuild over the same
+//!   compiled population for a drift rebuild (expansion plan,
+//!   tombstones and overlay shared).
 //!
 //! Besides the per-event [`FilterSnapshot::match_into`], the snapshot
 //! exposes [`FilterSnapshot::match_block`]: whole pre-resolved event
@@ -413,6 +416,40 @@ impl FilterSnapshot {
         next.removed_count = removed.iter().filter(|r| **r).count();
         next.removed = Arc::from(removed);
         next
+    }
+
+    /// A new snapshot with the tree and DFSA rebuilt from `compiled`
+    /// under `config`; the expansion plan, tombstones and overlay are
+    /// shared. This is a drift rebuild over an unchanged population:
+    /// `compiled` must be the set this snapshot compiled — the
+    /// representatives, in compiled-id order, for a covering-pruned
+    /// snapshot, otherwise the whole base.
+    ///
+    /// # Errors
+    ///
+    /// [`FilterError::ModelMismatch`] if `compiled` has a different
+    /// size than the compiled set; otherwise propagates tree
+    /// construction errors.
+    pub fn with_tree(
+        &self,
+        compiled: &ProfileSet,
+        config: &TreeConfig,
+    ) -> Result<Self, FilterError> {
+        if compiled.len() != self.tree.profile_count() {
+            return Err(FilterError::ModelMismatch {
+                message: format!(
+                    "recompiling {} profiles in place of {}",
+                    compiled.len(),
+                    self.tree.profile_count()
+                ),
+            });
+        }
+        let tree = ProfileTree::build(compiled, config)?;
+        let dfsa = Dfsa::from_tree(&tree);
+        let mut next = self.clone();
+        next.tree = Arc::new(tree);
+        next.dfsa = Arc::new(dfsa);
+        Ok(next)
     }
 
     /// Serializes the complete snapshot — tree, DFSA arenas, tombstone
@@ -998,6 +1035,65 @@ mod tests {
             assert_eq!(block.overlay_ops(), total_overlay);
             assert!(block.overlay_ops() > 0);
         }
+    }
+
+    #[test]
+    fn with_tree_shares_the_plan_and_matches_a_fresh_compile() {
+        use crate::{Direction, SearchStrategy, ValueOrder};
+        use ens_dist::{Density, DistOverDomain, JointDist};
+
+        let schema = schema();
+        let mut ps = base(&schema);
+        // Covered by profile 1: joins its expansion list.
+        ps.insert_with(|b| b.predicate("x", Predicate::between(20, 25)))
+            .unwrap();
+        ps.insert_with(|b| b.predicate("x", Predicate::ge(70)))
+            .unwrap();
+        let model = |mean| {
+            JointDist::independent(vec![DistOverDomain::new(
+                Density::gaussian(mean, 0.05),
+                100,
+            )])
+            .unwrap()
+        };
+        let config = |mean| TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+            event_model: Some(model(mean)),
+            ..TreeConfig::default()
+        };
+        let (old, cover) = FilterSnapshot::compile_covered(&ps, &config(0.1)).unwrap();
+        let mut reps = ProfileSet::new(&schema);
+        for &slot in cover.rep_slots() {
+            reps.insert(ps.get(ProfileId::new(slot)).unwrap().clone());
+        }
+        let reused = old.with_tree(&reps, &config(0.9)).unwrap();
+        assert!(Arc::ptr_eq(
+            reused.cover_plan().unwrap(),
+            old.cover_plan().unwrap()
+        ));
+        let (fresh, _) = FilterSnapshot::compile_covered(&ps, &config(0.9)).unwrap();
+        let mut drifted = false;
+        for x in 0..100 {
+            let e = Event::builder(&schema).value("x", x).unwrap().build();
+            let indexed = IndexedEvent::resolve(&schema, &e).unwrap();
+            let (mut a, mut b, mut c) = (
+                SnapshotScratch::new(),
+                SnapshotScratch::new(),
+                SnapshotScratch::new(),
+            );
+            reused.match_into(&indexed, &mut a, false);
+            fresh.match_into(&indexed, &mut b, false);
+            old.match_into(&indexed, &mut c, false);
+            assert_eq!(a.matched(), b.matched(), "x = {x}");
+            assert_eq!(a.ops(), b.ops(), "x = {x}");
+            assert_eq!(a.matched(), c.matched(), "x = {x}");
+            drifted |= a.ops() != c.ops();
+        }
+        assert!(drifted, "the new model must reorder the edges");
+        assert!(matches!(
+            old.with_tree(&ps, &config(0.9)),
+            Err(FilterError::ModelMismatch { .. })
+        ));
     }
 
     #[test]

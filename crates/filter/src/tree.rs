@@ -59,7 +59,8 @@ pub enum AttributeOrder {
 ///     search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
 ///     ..TreeConfig::default()
 /// };
-/// assert!(config.search.needs_event_model());
+/// assert!(config.needs_event_model());
+/// assert!(!TreeConfig::default().needs_event_model());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
@@ -87,6 +88,24 @@ pub struct TreeConfig {
     /// profiles with high priority", §4.3). `None` weights every profile
     /// equally.
     pub profile_weights: Option<Vec<f64>>,
+}
+
+impl TreeConfig {
+    /// Whether the tree this config builds is shaped by the event
+    /// distribution: a V1/V3 value order or an A2/A3 attribute order.
+    ///
+    /// Such configs need [`TreeConfig::event_model`] to build, and only
+    /// they change when the model does — every other config compiles
+    /// the same tree under any model, so a drift rebuild of it would
+    /// reproduce the snapshot it replaces.
+    #[must_use]
+    pub fn needs_event_model(&self) -> bool {
+        let attribute_order = match &self.attribute_order {
+            AttributeOrder::Selectivity { measure, .. } => measure.needs_event_model(),
+            AttributeOrder::Natural | AttributeOrder::Explicit(_) => false,
+        };
+        attribute_order || self.search.needs_event_model()
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -242,9 +261,13 @@ impl ProfileTree {
             }
             None => None,
         };
-        if config.search.needs_event_model() && marginals.is_none() {
+        if config.needs_event_model() && marginals.is_none() {
             return Err(FilterError::MissingDistribution {
-                needed_by: format!("search strategy `{}`", config.search.label()),
+                needed_by: format!(
+                    "search strategy `{}` / attribute order {:?}",
+                    config.search.label(),
+                    config.attribute_order
+                ),
             });
         }
         if let Some(w) = &config.profile_weights {
@@ -1393,6 +1416,33 @@ mod tests {
             ProfileTree::build(&ps, &config),
             Err(FilterError::MissingDistribution { .. })
         ));
+    }
+
+    #[test]
+    fn needs_event_model_covers_value_and_attribute_orders() {
+        let by = |measure| TreeConfig {
+            attribute_order: AttributeOrder::Selectivity {
+                measure,
+                direction: Direction::Descending,
+            },
+            ..TreeConfig::default()
+        };
+        assert!(!TreeConfig::default().needs_event_model());
+        assert!(!by(AttributeMeasure::A1).needs_event_model());
+        assert!(by(AttributeMeasure::A2).needs_event_model());
+        assert!(by(AttributeMeasure::A3).needs_event_model());
+        let v3 = TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::Combined(Direction::Descending)),
+            ..TreeConfig::default()
+        };
+        assert!(v3.needs_event_model());
+        let (_, ps) = example1();
+        match ProfileTree::build(&ps, &by(AttributeMeasure::A2)) {
+            Err(FilterError::MissingDistribution { needed_by }) => {
+                assert!(needed_by.contains("A2"), "{needed_by}");
+            }
+            other => panic!("A2 without a model must fail: {other:?}"),
+        }
     }
 
     #[test]

@@ -244,6 +244,12 @@ impl ShardWriter {
         self.base.len() - self.removed_count + self.overlay.len()
     }
 
+    /// Whether the compiled base is exactly the live population: no
+    /// overlay to fold in and no tombstones to drop.
+    fn population_settled(&self) -> bool {
+        self.overlay.is_empty() && self.removed_count == 0
+    }
+
     /// The live profile set (non-tombstoned base + overlay), in
     /// compaction order.
     fn live_profiles(&self, schema: &Schema) -> ProfileSet {
@@ -373,8 +379,7 @@ impl ShardWriter {
         covering: bool,
         reason: CompactReason,
     ) -> Result<ShardSnapshot, ServiceError> {
-        let pure_drift =
-            reason == CompactReason::Drift && self.overlay.is_empty() && self.removed_count == 0;
+        let pure_drift = reason == CompactReason::Drift && self.population_settled();
         // Fallible phase first: the writer state is only committed after
         // the new tree compiled, so a failed rebuild leaves the shard on
         // its previous (consistent) snapshot.
@@ -437,20 +442,13 @@ impl ShardWriter {
             })
         };
 
-        let mut config = self.tree.clone();
-        let empirical = self.tracker.prepare_model(compiled_set, pure_drift)?;
-        // A configured event model is the active prior: it wins until
-        // real observations exist for the geometry being compiled, then
-        // the empirical estimate takes over. Only a pure drift rebuild
-        // keeps the observation history — a churn compaction changes
-        // the cell geometry and `prepare_model` starts fresh statistics
-        // (zero observations), so its near-uniform placeholder must not
-        // displace the prior.
-        let observed = pure_drift && self.tracker.statistics().events_posted() > 0;
-        if observed || config.event_model.is_none() {
-            config.event_model = Some(empirical);
-        }
-        config.profile_weights = weights;
+        let config = rebuild_config(
+            &self.tree,
+            &mut self.tracker,
+            compiled_set,
+            pure_drift,
+            weights,
+        )?;
         let filter = match &cover {
             Some(cs) => FilterSnapshot::compile_with_cover(&profiles, cs, &config)?,
             None => FilterSnapshot::compile(&profiles, &config)?,
@@ -488,6 +486,97 @@ impl ShardWriter {
             quench,
         })
     }
+
+    /// Answers a drift trigger, after any accepted retune switched
+    /// `self.tree`. Returns `None` when the trigger is absorbed: over a
+    /// settled population a tree the event model does not shape
+    /// ([`TreeConfig::needs_event_model`]) would recompile to `prev`
+    /// itself, so only the tracker is re-baselined. A model-shaped (or
+    /// retuned) tree over a settled population keeps what the
+    /// population fixes — the containment index, `prev`'s expansion
+    /// plan and base dispatch — and rebuilds just the tree and DFSA
+    /// from a clone of the compiled profiles. Anything else is a full
+    /// [`ShardWriter::compact`].
+    fn drift_rebuild(
+        &mut self,
+        prev: &ShardSnapshot,
+        schema: &Schema,
+        quench_inbound: bool,
+        covering: bool,
+        retuned: bool,
+    ) -> Result<Option<ShardSnapshot>, ServiceError> {
+        let full = |w: &mut Self| {
+            w.compact(schema, quench_inbound, covering, CompactReason::Drift)
+                .map(Some)
+        };
+        if !self.population_settled() {
+            return full(self);
+        }
+        // With the overlay empty, no antichain inversion is pending; a
+        // compaction would clear this pressure too.
+        self.antichain_dirty = 0;
+        if !retuned && !self.tree.needs_event_model() {
+            self.tracker.absorb_drift()?;
+            return Ok(None);
+        }
+        // Base slots in compiled-id order. A shard whose covering state
+        // disagrees with the configuration (recovered from a checkpoint
+        // written under the other setting) switches over through a
+        // full compaction.
+        let slots: Vec<usize> = match (covering, &self.cover, prev.filter.cover_plan()) {
+            (true, Some(_), Some(plan)) => plan.rep_slots().iter().map(|&s| s as usize).collect(),
+            (false, None, None) => (0..self.base.len()).collect(),
+            _ => return full(self),
+        };
+        let mut compiled = ProfileSet::new(schema);
+        for &s in &slots {
+            compiled.insert(self.base[s].profile.clone());
+        }
+        // Weights as a pure drift `compact` sets them.
+        let uniform = self
+            .base
+            .iter()
+            .all(|e| (e.weight - 1.0).abs() < f64::EPSILON);
+        let weights = (!uniform).then(|| slots.iter().map(|&s| self.base[s].weight).collect());
+        let config = rebuild_config(&self.tree, &mut self.tracker, &compiled, true, weights)?;
+        let filter = prev.filter.with_tree(&compiled, &config)?;
+        self.tracker.finish_rebuild(true)?;
+        let quench = self.delta_quench(prev, &filter, schema, quench_inbound);
+        Ok(Some(ShardSnapshot {
+            filter,
+            base_dispatch: Arc::clone(&prev.base_dispatch),
+            overlay_dispatch: Arc::clone(&prev.overlay_dispatch),
+            quench,
+        }))
+    }
+}
+
+/// The configuration a rebuild compiles `compiled` with: the shard's
+/// active `tree` shape, the event model staged by
+/// [`DriftTracker::prepare_model`] and the compiled profiles' `weights`
+/// (`None` when uniform).
+fn rebuild_config(
+    tree: &TreeConfig,
+    tracker: &mut DriftTracker,
+    compiled: &ProfileSet,
+    pure_drift: bool,
+    weights: Option<Vec<f64>>,
+) -> Result<TreeConfig, ServiceError> {
+    let mut config = tree.clone();
+    let empirical = tracker.prepare_model(compiled, pure_drift)?;
+    // A configured event model is the active prior: it wins until
+    // real observations exist for the geometry being compiled, then
+    // the empirical estimate takes over. Only a pure drift rebuild
+    // keeps the observation history — a churn compaction changes
+    // the cell geometry and `prepare_model` starts fresh statistics
+    // (zero observations), so its near-uniform placeholder must not
+    // displace the prior.
+    let observed = pure_drift && tracker.statistics().events_posted() > 0;
+    if observed || config.event_model.is_none() {
+        config.event_model = Some(empirical);
+    }
+    config.profile_weights = weights;
+    Ok(config)
 }
 
 struct Shard {
@@ -1638,12 +1727,20 @@ impl Broker {
             } else {
                 false
             };
-            let snapshot = w.compact(
+            let prev = shard.snapshot.read().clone();
+            let Some(snapshot) = w.drift_rebuild(
+                &prev,
                 &self.schema,
                 self.config.quench_inbound,
                 self.config.covering,
-                CompactReason::Drift,
-            )?;
+                retuned,
+            )?
+            else {
+                self.metrics
+                    .drift_rebaselines
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
             self.metrics.tree_rebuilds.fetch_add(1, Ordering::Relaxed);
             *shard.snapshot.write() = Arc::new(snapshot);
             // An accepted retune changed the shard's active tree

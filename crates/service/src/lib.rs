@@ -6,9 +6,16 @@
 //! (§5). This crate is that service layer:
 //!
 //! * [`Broker`] — thread-safe subscribe/publish hub delivering
-//!   [`Notification`]s over channels, filtering through an
-//!   [`AdaptiveFilter`](ens_filter::AdaptiveFilter) that restructures
-//!   its profile tree as the observed event distribution drifts;
+//!   [`Notification`]s over channels. Publishers match lock-free
+//!   against an immutable per-shard
+//!   [`FilterSnapshot`](ens_filter::FilterSnapshot); the shard's writer
+//!   feeds sampled events to a [`DriftTracker`](ens_filter::DriftTracker)
+//!   and swaps in a rebuilt snapshot when the observed event
+//!   distribution drifts. Only trees the event model shapes (V1/V3
+//!   value orders, A2/A3 attribute orders, accepted retunes) are
+//!   recompiled on a drift trigger; any other tree over an unchanged
+//!   population keeps its snapshot and the detector re-baselines
+//!   (counted as `drift_rebaselines`);
 //! * [`QuenchAdvice`] — Elvin-style quenching (§2): producers learn
 //!   which value ranges no subscription references and can drop dead
 //!   events at the source;

@@ -29,6 +29,9 @@ pub(crate) struct Metrics {
     pub quenched_events: AtomicU64,
     /// Adaptive (drift-triggered) tree rebuilds across all shards.
     pub tree_rebuilds: AtomicU64,
+    /// Drift triggers absorbed without a rebuild: the tree is not
+    /// shaped by the event model, so only the detector re-baselined.
+    pub drift_rebaselines: AtomicU64,
     /// Churn-triggered compactions (overlay/tombstone thresholds).
     pub overlay_compactions: AtomicU64,
     /// Accepted self-tuning retunes (drift rebuilds whose configuration
@@ -70,6 +73,7 @@ impl Metrics {
             shard_panics: self.shard_panics.load(Ordering::Relaxed),
             quenched_events: self.quenched_events.load(Ordering::Relaxed),
             tree_rebuilds: self.tree_rebuilds.load(Ordering::Relaxed),
+            drift_rebaselines: self.drift_rebaselines.load(Ordering::Relaxed),
             overlay_compactions: self.overlay_compactions.load(Ordering::Relaxed),
             retunes: self.retunes.load(Ordering::Relaxed),
             retunes_declined: self.retunes_declined.load(Ordering::Relaxed),
@@ -122,6 +126,13 @@ pub struct MetricsSnapshot {
     /// Number of adaptive (drift-triggered) tree rebuilds, including
     /// accepted retunes.
     pub tree_rebuilds: u64,
+    /// Drift triggers absorbed without a rebuild: the shard's tree is
+    /// not shaped by the event model (`TreeConfig::needs_event_model`
+    /// is false) and its population is unchanged since the last
+    /// compaction, so recompiling would reproduce the same snapshot.
+    /// The drift detector re-baselines instead.
+    #[serde(default)]
+    pub drift_rebaselines: u64,
     /// Number of churn-triggered compactions (overlay/tombstone
     /// thresholds folding the subscription deltas into the tree).
     pub overlay_compactions: u64,
@@ -217,11 +228,11 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     /// One-line operational summary, e.g.
-    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
+    /// `events=100 batch=64 notifs=250 (2.50/ev) ops=1200 (12.00/ev) overlay_ops=40 (0.40/ev) quenched=3 dropped=0 overflow=0 panics=0 rebuilds=1 rebaselines=0 compactions=4 retunes=1/2 (pred 3.10 ops/ev) wal_salvaged=0 wal_quarantined=0 cp_fallbacks=0 degraded=false subs=42`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) quenched={} dropped={} overflow={} panics={} rebuilds={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
+            "events={} batch={} notifs={} ({:.2}/ev) ops={} ({:.2}/ev) overlay_ops={} ({:.2}/ev) quenched={} dropped={} overflow={} panics={} rebuilds={} rebaselines={} compactions={} retunes={}/{} (pred {:.2} ops/ev) wal_salvaged={} wal_quarantined={} cp_fallbacks={} degraded={} subs={}",
             self.events_published,
             self.batch_events,
             self.notifications_sent,
@@ -235,6 +246,7 @@ impl fmt::Display for MetricsSnapshot {
             self.overflow_dropped,
             self.shard_panics,
             self.tree_rebuilds,
+            self.drift_rebaselines,
             self.overlay_compactions,
             self.retunes,
             self.retunes + self.retunes_declined,
@@ -282,6 +294,7 @@ mod tests {
         assert!(line.contains("events=4"), "{line}");
         assert!(line.contains("(0.75/ev)"), "{line}");
         assert!(line.contains("subs=1"), "{line}");
+        assert!(line.contains("rebaselines=0"), "{line}");
     }
 
     #[test]

@@ -526,3 +526,58 @@ fn accepted_retunes_survive_recovery() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A drift trigger on a model-blind tree is absorbed without
+/// recompiling: the published snapshot stays. A checkpoint taken after
+/// that — with more churn logged behind it — must still recover to
+/// the replay oracle.
+#[test]
+fn checkpoint_after_absorbed_drift_recovers_exactly() {
+    let record_dir = scratch_dir("absorbed-drift");
+    let w = hot_band_migration(43, 120, 300).unwrap();
+    let config = BrokerConfig {
+        rebuild: RebuildPolicy {
+            min_events: 64,
+            drift_threshold: 0.3,
+            ..RebuildPolicy::default()
+        },
+        ..BrokerConfig::default()
+    };
+    let (cp, wal) = {
+        let r = Broker::open(&w.schema, config.clone(), durability(&record_dir)).unwrap();
+        let mut subs = r
+            .broker
+            .subscribe_many(w.profiles.iter().cloned().collect::<Vec<_>>())
+            .unwrap();
+        for event in w.phase_a.iter().chain(&w.phase_b) {
+            r.broker.publish(event).unwrap();
+        }
+        let m = r.broker.metrics();
+        assert!(m.drift_rebaselines >= 1, "the phase change must fire: {m}");
+        assert_eq!(m.tree_rebuilds, 0, "{m}");
+        assert!(r.broker.checkpoint_keep_wal().unwrap());
+        let cp = std::fs::read(record_dir.join(checkpoint_gen_file(1))).unwrap();
+        // Churn after the checkpoint replays from the WAL on top of it.
+        for sub in subs.drain(..5) {
+            r.broker.unsubscribe(sub.id()).unwrap();
+        }
+        subs.push(
+            r.broker
+                .subscribe_parsed("profile(reading >= 9000)")
+                .unwrap(),
+        );
+        (cp, std::fs::read(record_dir.join(WAL_FILE)).unwrap())
+    };
+    let crash_dir = scratch_dir("absorbed-drift-crash");
+    verify_crash_point(
+        &crash_dir,
+        &w.schema,
+        config,
+        Some(&cp),
+        &wal,
+        &w.phase_b,
+        "checkpoint after an absorbed drift trigger",
+    );
+    let _ = std::fs::remove_dir_all(&record_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
