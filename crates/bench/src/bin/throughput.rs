@@ -29,6 +29,7 @@ use ens_filter::{
     ProfileTree, RebuildPolicy, SearchStrategy, SnapshotScratch, TreeConfig, TuningPolicy,
     ValueOrder,
 };
+use ens_service::persist::{checkpoint_gen_file, parse_checkpoint_gen};
 use ens_service::{Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber};
 use ens_types::{Event, IndexedBatch, IndexedEvent, Schema};
 use ens_workloads::DriftWorkload;
@@ -293,7 +294,7 @@ struct RecoveryRow {
     reload_ms: f64,
     /// recompile/reload — what checkpoint reload saves on restart.
     reload_speedup: f64,
-    /// Size of `checkpoint.bin` at this population.
+    /// Size of the newest checkpoint generation at this population.
     checkpoint_bytes: u64,
 }
 
@@ -1342,7 +1343,11 @@ fn bench_recovery(opts: &Options) -> Result<RecoveryReport, Box<dyn std::error::
             let _subs = recovered.broker.subscribe_many(profiles.iter().cloned())?;
             recovered.broker.checkpoint()?;
         }
-        let checkpoint_bytes = std::fs::metadata(dir.join("checkpoint.bin"))?.len();
+        let newest = std::fs::read_dir(&dir)?
+            .filter_map(|e| parse_checkpoint_gen(&e.ok()?.file_name().to_string_lossy()))
+            .max()
+            .ok_or("no checkpoint generation written")?;
+        let checkpoint_bytes = std::fs::metadata(dir.join(checkpoint_gen_file(newest)))?.len();
 
         // Checkpoint reload (best of 3: later runs see warm page
         // cache, like a crash-restart on a live host).

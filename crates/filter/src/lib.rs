@@ -15,9 +15,9 @@
 //! * an **analytic cost model** ([`CostModel`]) implementing the paper's
 //!   Eq. 2 — expected comparison operations per event under arbitrary
 //!   event/profile distributions;
-//! * **statistic objects** ([`FilterStatistics`]) and an
-//!   [`AdaptiveFilter`] that restructures the tree when the observed
-//!   event distribution drifts;
+//! * **statistic objects** ([`FilterStatistics`]) and a
+//!   [`DriftTracker`] that tells a service when the observed event
+//!   distribution has drifted far enough to restructure the tree;
 //! * a flattened [`Dfsa`] form for raw-throughput matching and the
 //!   [`baseline`] matchers (naive and counting) for comparison;
 //! * an immutable [`FilterSnapshot`] (tree + DFSA + incremental
@@ -65,7 +65,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 pub mod baseline;
 mod cost;
 mod cover;
@@ -83,7 +82,6 @@ mod subrange;
 mod tree;
 mod tuning;
 
-pub use adaptive::{AdaptiveFilter, AdaptivePolicy};
 pub use cost::{expected_ops, CostBreakdown, CostModel, LevelCost, ProfileCost};
 pub use cover::{residual_ok, CoverPlan, PlanChild};
 pub use dfsa::{Dfsa, BLOCK_LANES, JUMP_TABLE_MAX_DOMAIN};

@@ -245,9 +245,17 @@ impl Matcher for OverlayIndex {
     /// Operation accounting matches the counting-matcher convention:
     /// one op per binary-search step plus one per counter increment.
     fn match_into(&self, event: &IndexedEvent, scratch: &mut MatchScratch) {
+        self.match_raw(event.raw(), scratch);
+    }
+}
+
+impl OverlayIndex {
+    /// [`Matcher::match_into`] on a raw resolved row (the form an
+    /// [`ens_types::IndexedBatch`] stores), so block matching needs no
+    /// per-row copy into an [`IndexedEvent`].
+    pub(crate) fn match_raw(&self, raw: &[u64], scratch: &mut MatchScratch) {
         scratch.reset(0);
         scratch.begin_epoch(self.required.len());
-        let raw = event.raw();
         for (a, postings) in self.attrs.iter().enumerate() {
             let Some(&idx) = raw.get(a) else { continue };
             let (steps, hit) = postings.lookup(idx);
@@ -264,9 +272,7 @@ impl Matcher for OverlayIndex {
         // Completions arrive in posting order, not id order.
         scratch.profiles.sort_unstable();
     }
-}
 
-impl OverlayIndex {
     /// Appends the posting-list arenas in the dense binary form.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.seq_len(self.attrs.len());

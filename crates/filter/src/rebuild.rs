@@ -1,10 +1,10 @@
 //! The unified rebuild policy and drift tracker for the snapshot-swap
 //! filter path.
 //!
-//! The seed broker rebuilt the whole profile tree on *every* subscribe
-//! and unsubscribe, and the [`AdaptiveFilter`](crate::AdaptiveFilter)
-//! rebuilt it again when the observed event distribution drifted. Both
-//! triggers are really the same decision — "is the compiled tree stale
+//! A filter service rebuilds its profile tree for two reasons: the
+//! subscriptions changed, or the observed event distribution drifted
+//! away from the one the tree was optimised for (the paper's adaptive
+//! filter component, §1/§5). Both triggers are really the same decision — "is the compiled tree stale
 //! enough to pay a rebuild?" — so [`RebuildPolicy`] unifies them:
 //!
 //! * **subscription churn**: new profiles enter a small overlay
@@ -13,9 +13,8 @@
 //!   the tree once the overlay reaches [`RebuildPolicy::max_overlay`]
 //!   entries (tombstoned removals likewise, via
 //!   [`RebuildPolicy::max_removed`]);
-//! * **distribution drift**: [`DriftTracker`] keeps the same statistics
-//!   and L1-drift detector as the adaptive filter (paper §4.2/§5) and
-//!   fires when the empirical event distribution has moved
+//! * **distribution drift**: [`DriftTracker`] keeps the event history
+//!   statistics and an L1-drift detector (paper §4.2/§5) and fires when the empirical event distribution has moved
 //!   [`RebuildPolicy::drift_threshold`] away from the one the tree was
 //!   optimised for. Only a tree the event model shapes
 //!   ([`TreeConfig::needs_event_model`](crate::TreeConfig::needs_event_model))
@@ -27,15 +26,13 @@ use ens_dist::{JointDist, Pmf};
 use ens_types::{AttrId, Event, ProfileSet};
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::AdaptivePolicy;
 use crate::statistics::FilterStatistics;
 use crate::FilterError;
 
 /// When a compiled [`FilterSnapshot`](crate::FilterSnapshot) is rebuilt.
 ///
-/// Unifies the adaptive drift trigger (the first three fields, identical
-/// to [`AdaptivePolicy`]) with the incremental-subscription compaction
-/// thresholds.
+/// Unifies the adaptive drift trigger (the first three fields) with the
+/// incremental-subscription compaction thresholds.
 ///
 /// What a drift trigger recompiles depends on the tree configuration.
 /// Trees the event model shapes — V1/V3 value orders, A2/A3 attribute
@@ -75,35 +72,13 @@ pub struct RebuildPolicy {
 
 impl Default for RebuildPolicy {
     fn default() -> Self {
-        let drift = AdaptivePolicy::default();
         RebuildPolicy {
-            min_events: drift.min_events,
-            drift_threshold: drift.drift_threshold,
-            decay_on_rebuild: drift.decay_on_rebuild,
+            min_events: 500,
+            drift_threshold: 0.25,
+            decay_on_rebuild: true,
             max_overlay: 64,
             max_removed: 64,
             drift_check_every: 32,
-        }
-    }
-}
-
-impl From<AdaptivePolicy> for RebuildPolicy {
-    fn from(p: AdaptivePolicy) -> Self {
-        RebuildPolicy {
-            min_events: p.min_events,
-            drift_threshold: p.drift_threshold,
-            decay_on_rebuild: p.decay_on_rebuild,
-            ..RebuildPolicy::default()
-        }
-    }
-}
-
-impl From<RebuildPolicy> for AdaptivePolicy {
-    fn from(p: RebuildPolicy) -> Self {
-        AdaptivePolicy {
-            min_events: p.min_events,
-            drift_threshold: p.drift_threshold,
-            decay_on_rebuild: p.decay_on_rebuild,
         }
     }
 }
@@ -125,10 +100,9 @@ impl RebuildPolicy {
 /// The writer-side drift detector behind a snapshot-swapped filter.
 ///
 /// Owns the [`FilterStatistics`] and the per-attribute PMFs the current
-/// tree was optimised for — the same machinery as
-/// [`AdaptiveFilter`](crate::AdaptiveFilter), factored out so a broker
-/// can keep it under its own (briefly held) writer lock while the match
-/// path reads an immutable snapshot lock-free.
+/// tree was optimised for, so a broker can keep them under its own
+/// (briefly held) writer lock while the match path reads an immutable
+/// snapshot lock-free.
 ///
 /// Rebuild protocol: when [`DriftTracker::observe`] returns `true` (or
 /// churn thresholds fire), call [`DriftTracker::prepare_model`] for the
@@ -271,10 +245,8 @@ impl DriftTracker {
     /// differs from the set the statistics were built for
     /// (`pure_drift = false`, i.e. overlay/tombstone compaction), the
     /// statistics are reset to the new partition geometry first — cells
-    /// moved, so the old per-cell history no longer applies (mirroring
-    /// [`AdaptiveFilter::set_profiles`](crate::AdaptiveFilter::set_profiles)).
-    /// A pure drift rebuild keeps the accumulated history (mirroring
-    /// [`AdaptiveFilter::rebuild`](crate::AdaptiveFilter::rebuild)).
+    /// moved, so the old per-cell history no longer applies. A pure
+    /// drift rebuild keeps the accumulated history.
     ///
     /// # Errors
     ///
@@ -341,23 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_round_trips_through_adaptive_policy() {
-        let p = RebuildPolicy {
-            min_events: 7,
-            drift_threshold: 0.5,
-            decay_on_rebuild: false,
-            max_overlay: 3,
-            max_removed: 9,
-            drift_check_every: 4,
-        };
-        let a: AdaptivePolicy = p.into();
-        assert_eq!(a.min_events, 7);
-        let back: RebuildPolicy = a.into();
-        assert_eq!(back.min_events, 7);
-        assert_eq!(back.drift_threshold, 0.5);
-        assert!(!back.decay_on_rebuild);
-        // Compaction thresholds come from the default.
-        assert_eq!(back.max_overlay, RebuildPolicy::default().max_overlay);
+    fn default_drift_trigger() {
+        let p = RebuildPolicy::default();
+        assert_eq!(p.min_events, 500);
+        assert_eq!(p.drift_threshold, 0.25);
+        assert!(p.decay_on_rebuild);
     }
 
     #[test]

@@ -114,8 +114,7 @@ impl SnapshotScratch {
 /// heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotBlockScratch {
-    /// Base-layer block scratch (also holds the row buffer the overlay
-    /// pass reuses).
+    /// Base-layer block scratch.
     base: BlockScratch,
     /// Overlay per-event scratch.
     overlay: MatchScratch,
@@ -123,8 +122,6 @@ pub struct SnapshotBlockScratch {
     /// `matched[off[i] .. off[i + 1]]`.
     off: Vec<u32>,
     matched: Vec<u32>,
-    ops: u64,
-    overlay_ops: u64,
     /// Per-event ops (base + overlay) and the overlay's share — the
     /// per-event attribution batch publish receipts report.
     event_ops: Vec<u64>,
@@ -165,13 +162,13 @@ impl SnapshotBlockScratch {
     /// the DFSA base path counts none).
     #[must_use]
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.event_ops.iter().sum()
     }
 
     /// The overlay's share of [`SnapshotBlockScratch::ops`].
     #[must_use]
     pub fn overlay_ops(&self) -> u64 {
-        self.overlay_ops
+        self.event_overlay_ops.iter().sum()
     }
 
     /// Comparison operations spent on event `i` (base + overlay).
@@ -355,15 +352,7 @@ impl FilterSnapshot {
     ///
     /// Propagates predicate lowering errors.
     pub fn with_overlay(&self, overlay: &ProfileSet) -> Result<Self, FilterError> {
-        let mut next = self.clone();
-        next.overlay_len = overlay.len();
-        next.overlay = if overlay.is_empty() {
-            None
-        } else {
-            Some(Arc::new(OverlayIndex::new(overlay)?))
-        };
-        next.overlay_children = Arc::new(OverlayChildren::new());
-        Ok(next)
+        self.with_overlay_covered(overlay, &vec![None; overlay.len()])
     }
 
     /// Like [`FilterSnapshot::with_overlay`], but overlay positions
@@ -622,93 +611,19 @@ impl FilterSnapshot {
     /// counted); otherwise through the [`ProfileTree`] (the paper's
     /// cost-model semantics, `scratch.ops()` populated).
     pub fn match_into(&self, event: &IndexedEvent, scratch: &mut SnapshotScratch, use_dfsa: bool) {
-        scratch.matched.clear();
-        scratch.ops = 0;
-        scratch.overlay_ops = 0;
         if use_dfsa {
             self.dfsa.match_into(event, &mut scratch.base);
         } else {
             self.tree.match_into(event, &mut scratch.base);
         }
-        scratch.ops += scratch.base.ops();
-        match &self.cover {
-            None => {
-                if self.removed.is_empty() {
-                    scratch
-                        .matched
-                        .extend(scratch.base.profiles().iter().map(|p| p.index() as u32));
-                } else {
-                    scratch.matched.extend(
-                        scratch
-                            .base
-                            .profiles()
-                            .iter()
-                            .map(|p| p.index())
-                            .filter(|k| !self.removed[*k])
-                            .map(|k| k as u32),
-                    );
-                }
-            }
-            Some(plan) => {
-                // Expansion iterates the *raw* compiled hits: a
-                // tombstoned representative stays compiled and its live
-                // children must still be delivered.
-                let raw = event.raw();
-                for p in scratch.base.profiles() {
-                    let c = p.index() as u32;
-                    let orig = plan.rep_of(c);
-                    if self.live(orig as usize) {
-                        scratch.matched.push(orig);
-                    }
-                    for child in plan.children_of(c) {
-                        if self.live(child.slot as usize) && residual_ok(&child.residual, raw) {
-                            scratch.matched.push(child.slot);
-                        }
-                    }
-                }
-                // Children of different reps interleave in slot order;
-                // each slot appears at most once, so a sort restores
-                // the contract without dedup.
-                scratch.matched.sort_unstable();
-            }
-        }
-        let overlay_start = scratch.matched.len();
-        if let Some(overlay) = &self.overlay {
-            overlay.match_into(event, &mut scratch.overlay);
-            scratch.ops += scratch.overlay.ops();
-            scratch.overlay_ops = scratch.overlay.ops();
-            let off = self.base_len as u32;
-            scratch.matched.extend(
-                scratch
-                    .overlay
-                    .profiles()
-                    .iter()
-                    .map(|p| off + p.index() as u32),
-            );
-        }
-        if !self.overlay_children.is_empty() {
-            let off = self.base_len as u32;
-            let raw = event.raw();
-            for p in scratch.base.profiles() {
-                let Some(ch) = self.overlay_children.get(&(p.index() as u32)) else {
-                    continue;
-                };
-                for (pos, residual) in ch {
-                    if residual_ok(residual, raw) {
-                        scratch.matched.push(off + pos);
-                    }
-                }
-            }
-            // Covered positions have no postings, so the overlay region
-            // is also duplicate-free; one regional sort restores order.
-            scratch.matched[overlay_start..].sort_unstable();
-        }
-    }
-
-    /// Whether base slot `k` has not been tombstoned.
-    #[inline]
-    fn live(&self, k: usize) -> bool {
-        self.removed.is_empty() || !self.removed[k]
+        scratch.matched.clear();
+        scratch.overlay_ops = self.expand(
+            scratch.base.profiles(),
+            event.raw(),
+            &mut scratch.overlay,
+            &mut scratch.matched,
+        );
+        scratch.ops = scratch.base.ops() + scratch.overlay_ops;
     }
 
     /// Matches a whole pre-resolved block against base and overlay,
@@ -717,9 +632,9 @@ impl FilterSnapshot {
     ///
     /// The compiled base runs through [`Matcher::match_block`] — with
     /// `use_dfsa` the DFSA's interleaved multi-event traversal, the
-    /// fastest path in the system — and the overlay's counting index is
-    /// applied per event on top. Semantics are identical to calling
-    /// [`FilterSnapshot::match_into`] per event.
+    /// fastest path in the system — and each row is then expanded
+    /// exactly as [`FilterSnapshot::match_into`] expands one event, so
+    /// the results are identical to calling it per event.
     pub fn match_block(
         &self,
         batch: &IndexedBatch,
@@ -734,83 +649,99 @@ impl FilterSnapshot {
         scratch.off.clear();
         scratch.off.push(0);
         scratch.matched.clear();
-        scratch.ops = scratch.base.ops();
-        scratch.overlay_ops = 0;
         scratch.event_ops.clear();
         scratch.event_overlay_ops.clear();
-        scratch.event_overlay_ops.resize(batch.len(), 0);
-        let off = self.base_len as u32;
         for i in 0..batch.len() {
-            match &self.cover {
-                None => {
-                    if self.removed.is_empty() {
-                        scratch
-                            .matched
-                            .extend(scratch.base.profiles_of(i).iter().map(|p| p.index() as u32));
-                    } else {
-                        scratch.matched.extend(
-                            scratch
-                                .base
-                                .profiles_of(i)
-                                .iter()
-                                .map(|p| p.index())
-                                .filter(|k| !self.removed[*k])
-                                .map(|k| k as u32),
-                        );
-                    }
-                }
-                Some(plan) => {
-                    let row_start = scratch.matched.len();
-                    let raw = batch.row(i);
-                    for p in scratch.base.profiles_of(i) {
-                        let c = p.index() as u32;
-                        let orig = plan.rep_of(c);
-                        if self.live(orig as usize) {
-                            scratch.matched.push(orig);
-                        }
-                        for child in plan.children_of(c) {
-                            if self.live(child.slot as usize) && residual_ok(&child.residual, raw) {
-                                scratch.matched.push(child.slot);
-                            }
-                        }
-                    }
-                    scratch.matched[row_start..].sort_unstable();
-                }
-            }
-            let overlay_start = scratch.matched.len();
-            let mut event_ops = scratch.base.ops_of(i);
-            if let Some(overlay) = &self.overlay {
-                scratch.base.row.copy_from_raw(batch.row(i));
-                overlay.match_into(&scratch.base.row, &mut scratch.overlay);
-                event_ops += scratch.overlay.ops();
-                scratch.ops += scratch.overlay.ops();
-                scratch.overlay_ops += scratch.overlay.ops();
-                scratch.event_overlay_ops[i] = scratch.overlay.ops();
-                scratch.matched.extend(
-                    scratch
-                        .overlay
-                        .profiles()
-                        .iter()
-                        .map(|p| off + p.index() as u32),
-                );
-            }
-            if !self.overlay_children.is_empty() {
-                let raw = batch.row(i);
-                for p in scratch.base.profiles_of(i) {
-                    let Some(ch) = self.overlay_children.get(&(p.index() as u32)) else {
-                        continue;
-                    };
-                    for (pos, residual) in ch {
-                        if residual_ok(residual, raw) {
-                            scratch.matched.push(off + pos);
-                        }
-                    }
-                }
-                scratch.matched[overlay_start..].sort_unstable();
-            }
-            scratch.event_ops.push(event_ops);
+            let overlay_ops = self.expand(
+                scratch.base.profiles_of(i),
+                batch.row(i),
+                &mut scratch.overlay,
+                &mut scratch.matched,
+            );
+            scratch.event_ops.push(scratch.base.ops_of(i) + overlay_ops);
+            scratch.event_overlay_ops.push(overlay_ops);
             scratch.off.push(scratch.matched.len() as u32);
         }
+    }
+
+    /// Expands one event's compiled hits `hits` (raw resolved row
+    /// `raw`) into its global profile ids, appended to `out` ascending:
+    /// tombstones dropped, covered children delivered through the
+    /// expansion plan, the overlay counting index applied and covered
+    /// overlay positions delivered through their representatives.
+    /// Returns the overlay's comparison operations.
+    fn expand(
+        &self,
+        hits: &[ProfileId],
+        raw: &[u64],
+        overlay_scratch: &mut MatchScratch,
+        out: &mut Vec<u32>,
+    ) -> u64 {
+        let start = out.len();
+        match &self.cover {
+            None => out.extend(
+                hits.iter()
+                    .map(|p| p.index())
+                    .filter(|&k| self.live(k))
+                    .map(|k| k as u32),
+            ),
+            Some(plan) => {
+                // Expansion iterates the *raw* compiled hits: a
+                // tombstoned representative stays compiled and its live
+                // children must still be delivered.
+                for p in hits {
+                    let c = p.index() as u32;
+                    let orig = plan.rep_of(c);
+                    if self.live(orig as usize) {
+                        out.push(orig);
+                    }
+                    for child in plan.children_of(c) {
+                        if self.live(child.slot as usize) && residual_ok(&child.residual, raw) {
+                            out.push(child.slot);
+                        }
+                    }
+                }
+                // Children of different reps interleave in slot order;
+                // each slot appears at most once, so a sort restores
+                // the contract without dedup.
+                out[start..].sort_unstable();
+            }
+        }
+        let overlay_start = out.len();
+        let off = self.base_len as u32;
+        let mut overlay_ops = 0;
+        if let Some(overlay) = &self.overlay {
+            overlay.match_raw(raw, overlay_scratch);
+            overlay_ops = overlay_scratch.ops();
+            out.extend(
+                overlay_scratch
+                    .profiles()
+                    .iter()
+                    .map(|p| off + p.index() as u32),
+            );
+        }
+        if !self.overlay_children.is_empty() {
+            for p in hits {
+                let Some(ch) = self.overlay_children.get(&(p.index() as u32)) else {
+                    continue;
+                };
+                for (pos, residual) in ch {
+                    if residual_ok(residual, raw) {
+                        out.push(off + pos);
+                    }
+                }
+            }
+            // Covered positions have no postings, so the overlay region
+            // is also duplicate-free; one regional sort restores order.
+            out[overlay_start..].sort_unstable();
+        }
+        overlay_ops
+    }
+
+    /// Whether base slot `k` has not been tombstoned.
+    #[inline]
+    fn live(&self, k: usize) -> bool {
+        self.removed.is_empty() || !self.removed[k]
     }
 
     /// The compiled profile tree.

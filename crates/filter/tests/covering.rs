@@ -193,7 +193,8 @@ fn covered_snapshot_round_trips_bytes_exactly() {
 /// against the cover set (covered entries delivered by expansion), and
 /// periodic compaction folding everything into a fresh covered
 /// compile. After every operation the snapshot must agree with the
-/// brute-force oracle over the live profiles.
+/// brute-force oracle over the live profiles, on both the per-event
+/// and the block match path.
 #[test]
 fn covering_churn_agrees_with_profile_set_oracle() {
     let schema = schema();
@@ -287,29 +288,35 @@ fn covering_churn_agrees_with_profile_set_oracle() {
         }
 
         // Oracle: live base profiles keep their slots, overlay entries
-        // follow at base_len + position.
+        // follow at base_len + position. The step's events are matched
+        // one by one and as one block; both must agree with the oracle,
+        // and the block's per-event ops with the single path's.
+        let events: Vec<Event> = (0..20).map(|_| random_event(&schema, &mut rng)).collect();
+        let mut batch = IndexedBatch::new();
+        batch.resolve_into(&schema, events.iter()).unwrap();
         let mut scratch = SnapshotScratch::new();
-        for _ in 0..20 {
-            let e = random_event(&schema, &mut rng);
-            let mut want: Vec<u32> = Vec::new();
-            for (k, p) in base.iter().enumerate() {
-                if !removed[k] && p.matches(&schema, &e).unwrap() {
-                    want.push(k as u32);
+        let mut block = SnapshotBlockScratch::new();
+        for use_dfsa in [false, true] {
+            snap.match_block(&batch, &mut block, use_dfsa);
+            for (i, e) in events.iter().enumerate() {
+                let mut want: Vec<u32> = Vec::new();
+                for (k, p) in base.iter().enumerate() {
+                    if !removed[k] && p.matches(&schema, e).unwrap() {
+                        want.push(k as u32);
+                    }
                 }
-            }
-            for (j, p) in overlay.iter().enumerate() {
-                if p.matches(&schema, &e).unwrap() {
-                    want.push((base.len() + j) as u32);
+                for (j, p) in overlay.iter().enumerate() {
+                    if p.matches(&schema, e).unwrap() {
+                        want.push((base.len() + j) as u32);
+                    }
                 }
-            }
-            let ie = IndexedEvent::resolve(&schema, &e).unwrap();
-            for use_dfsa in [false, true] {
+                let ie = IndexedEvent::resolve(&schema, e).unwrap();
                 snap.match_into(&ie, &mut scratch, use_dfsa);
-                assert_eq!(
-                    scratch.matched(),
-                    want.as_slice(),
-                    "step {step}, use_dfsa = {use_dfsa}"
-                );
+                let at = format!("step {step}, event {i}, use_dfsa = {use_dfsa}");
+                assert_eq!(scratch.matched(), want.as_slice(), "{at}");
+                assert_eq!(block.matched_of(i), want.as_slice(), "block, {at}");
+                assert_eq!(block.ops_of(i), scratch.ops(), "{at}");
+                assert_eq!(block.overlay_ops_of(i), scratch.overlay_ops(), "{at}");
             }
         }
     }

@@ -8,10 +8,14 @@
 //!
 //! * **Snapshot-swap read path** — each shard compiles its subscription
 //!   set into an immutable [`FilterSnapshot`] plus a dispatch table,
-//!   shared behind an `Arc`. `publish` clones the handle (one brief,
+//!   shared behind an `Arc`. A publish clones the handle (one brief,
 //!   uncontended read-lock acquisition), then matches **lock-free**
 //!   against the snapshot using thread-local scratch buffers; after
 //!   warm-up the matching step performs no heap allocation.
+//! * **One serving path** — every publish entry point serves a resolved
+//!   block through one routine: a single [`Broker::publish`] is a block
+//!   of one, matched by [`FilterSnapshot::match_block`] like a batch,
+//!   with the same inbound quenching and shard panic isolation.
 //! * **Incremental subscription deltas** — `subscribe` puts the new
 //!   profile into a small overlay side-matcher (O(overlay), independent
 //!   of the total subscription count) and `unsubscribe` tombstones
@@ -21,7 +25,8 @@
 //!   [`BrokerConfig::shards`] shards, each with its own snapshot,
 //!   writer lock and drift statistics, so churn and rebuilds on one
 //!   shard never stall the others. [`Broker::publish_batch`] fans a
-//!   batch out across shards on `std::thread` workers.
+//!   batch of more than one event out across shards on `std::thread`
+//!   workers; a block of one runs its shards inline.
 //!
 //! Ordering: within one publisher thread (and within a batch),
 //! notifications reach each subscriber in sequence order. Across
@@ -36,11 +41,11 @@ use std::sync::Arc;
 use ens_dist::JointDist;
 use ens_filter::{
     AttributeOrder, DriftTracker, FilterSnapshot, RebuildPolicy, SearchStrategy,
-    SnapshotBlockScratch, SnapshotScratch, TreeConfig, TuningPolicy,
+    SnapshotBlockScratch, TreeConfig, TuningPolicy,
 };
 use ens_types::{
-    CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile, ProfileBuilder, ProfileId,
-    ProfileSet, Residual, Schema, TypesError,
+    CoverOutcome, CoverSet, Event, IndexedBatch, Profile, ProfileBuilder, ProfileId, ProfileSet,
+    Residual, Schema, TypesError,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -68,9 +73,10 @@ pub struct BrokerConfig {
     pub rebuild: RebuildPolicy,
     /// How many recent events to keep for inspection (0 disables).
     pub history_capacity: usize,
-    /// Drop events in the zero-subdomain before filtering (broker-side
-    /// quenching; producers can do the same with
-    /// [`Broker::quench_advice`]). Only active while a shard's overlay
+    /// Drop events in the zero-subdomain: a quenched event delivers
+    /// nothing and counts no ops (broker-side quenching; producers can
+    /// skip the publish with [`Broker::quench_advice`]). Only active
+    /// while a shard's overlay
     /// is empty — overlay profiles are not part of the compiled
     /// coverage map, so quenching pauses (conservatively) until the
     /// next compaction.
@@ -333,13 +339,10 @@ impl ShardWriter {
         schema: &Schema,
         quench_inbound: bool,
     ) -> Result<ShardSnapshot, ServiceError> {
-        let overlay = self.overlay_profiles(schema);
-        let filter = if self.cover.is_some() {
-            prev.filter
-                .with_overlay_covered(&overlay, &self.overlay_cover)?
-        } else {
-            prev.filter.with_overlay(&overlay)?
-        };
+        // `overlay_cover` is all `None` when covering is off.
+        let filter = prev
+            .filter
+            .with_overlay_covered(&self.overlay_profiles(schema), &self.overlay_cover)?;
         let quench = self.delta_quench(prev, &filter, schema, quench_inbound);
         Ok(ShardSnapshot {
             filter,
@@ -599,12 +602,10 @@ pub struct Recovered {
 }
 
 thread_local! {
-    /// Per-thread match buffers: any number of brokers share them, so a
-    /// warmed-up publisher thread allocates nothing per publish.
-    static SCRATCH: RefCell<(IndexedEvent, SnapshotScratch)> =
-        RefCell::new((IndexedEvent::new(), SnapshotScratch::new()));
-
-    /// Per-thread block-match buffers for the batch publish path.
+    /// Per-thread publish buffers: any number of brokers share them, so
+    /// a warmed-up publisher thread allocates nothing to resolve or
+    /// match. `SINGLE_ROW` holds a single publish's block of one.
+    static SINGLE_ROW: RefCell<IndexedBatch> = RefCell::new(IndexedBatch::new());
     static BLOCK_SCRATCH: RefCell<SnapshotBlockScratch> =
         RefCell::new(SnapshotBlockScratch::new());
 }
@@ -637,6 +638,29 @@ struct Delivery {
     /// overlay matching decay between compactions).
     overlay_ops: u64,
     rejecting_shards: usize,
+}
+
+impl Delivery {
+    /// Adds another shard's delivery of the same event.
+    fn absorb(&mut self, other: Delivery) {
+        self.matched.extend(other.matched);
+        self.dead.extend(other.dead);
+        self.overflowed += other.overflowed;
+        self.ops += other.ops;
+        self.overlay_ops += other.overlay_ops;
+        self.rejecting_shards += other.rejecting_shards;
+    }
+
+    /// The receipt of the event published as `sequence` on a broker
+    /// with `shards` shards; quenched when every shard rejected it.
+    fn receipt(self, sequence: u64, shards: usize) -> PublishReceipt {
+        PublishReceipt {
+            sequence,
+            matched: self.matched,
+            ops: self.ops,
+            quenched: self.rejecting_shards == shards,
+        }
+    }
 }
 
 /// A thread-safe event notification broker (a miniature GENAS, the
@@ -674,8 +698,9 @@ pub struct Broker {
     /// WAL + checkpoint state; `None` for in-memory brokers
     /// ([`Broker::new`]), `Some` after [`Broker::open`].
     durability: Option<Durability>,
-    /// Fault-injection: `shard + 1` of a batch worker that should
-    /// panic on its next run, `0` for none (tests of panic isolation).
+    /// Fault-injection: `shard + 1` of the shard worker that should
+    /// panic on the next publish, `0` for none (tests of panic
+    /// isolation).
     batch_fault: AtomicU64,
 }
 
@@ -693,7 +718,7 @@ impl Broker {
             let tracker = DriftTracker::new(&profiles, config.rebuild)?;
             // Distribution-dependent strategies need a model before any
             // event arrived: seed the first tree with the (uniform)
-            // empirical model, exactly like `AdaptiveFilter::new`.
+            // empirical model of the empty history.
             let mut tree = config.tree.clone();
             if tree.event_model.is_none() {
                 tree.event_model = Some(tracker.statistics().empirical_model()?);
@@ -1310,9 +1335,8 @@ impl Broker {
     ///
     /// The event is wrapped in one [`Arc`] (a single allocation per
     /// publish) which every notified subscriber and the history ring
-    /// buffer share; matching runs lock-free against the current
-    /// snapshots with thread-local scratch and allocates nothing after
-    /// warm-up.
+    /// buffer share. It is then served exactly like a batch of one (see
+    /// [`Broker::publish_shared`]).
     ///
     /// # Errors
     ///
@@ -1325,33 +1349,24 @@ impl Broker {
     /// Like [`Broker::publish`], but takes an already-shared event and
     /// avoids even the per-publish clone.
     ///
+    /// A single publish is a block of one: resolved into a thread-local
+    /// [`IndexedBatch`] and served inline by the routine behind
+    /// [`Broker::publish_batch`], including its panic isolation (see
+    /// [`MetricsSnapshot::shard_panics`]).
+    ///
     /// # Errors
     ///
     /// Propagates domain errors for ill-typed event values and filter
     /// rebuild errors.
     pub fn publish_shared(&self, event: Arc<Event>) -> Result<PublishReceipt, ServiceError> {
-        let mut delivery = Delivery::default();
-        let sequence = SCRATCH.with(|cell| -> Result<u64, ServiceError> {
-            let (indexed, scratch) = &mut *cell.borrow_mut();
-            indexed.resolve_into(&self.schema, &event)?;
-            let sequence = self.sequence.fetch_add(1, Ordering::Relaxed);
-            self.record_history(&event);
-            for shard in self.shards.iter() {
-                let snap = shard.snapshot.read().clone();
-                self.match_and_deliver(&snap, indexed, scratch, &event, sequence, &mut delivery);
-            }
-            Ok(sequence)
+        let mut delivery = [Delivery::default()];
+        let sequence = SINGLE_ROW.with(|cell| -> Result<u64, ServiceError> {
+            let indexed = &mut *cell.borrow_mut();
+            indexed.resolve_into(&self.schema, std::iter::once(event.as_ref()))?;
+            self.publish_block(std::slice::from_ref(&event), indexed, &mut delivery)
         })?;
-        let quenched = delivery.rejecting_shards == self.shards.len();
-        self.finish_publish(&event, sequence, &mut delivery)?;
-        self.maybe_checkpoint();
-        delivery.matched.sort_unstable();
-        Ok(PublishReceipt {
-            sequence,
-            matched: delivery.matched,
-            ops: delivery.ops,
-            quenched,
-        })
+        let [delivery] = delivery;
+        Ok(delivery.receipt(sequence, self.shards.len()))
     }
 
     /// Publishes a batch of events, fanning the work out across shards
@@ -1378,9 +1393,6 @@ impl Broker {
         &self,
         events: &[Arc<Event>],
     ) -> Result<Vec<PublishReceipt>, ServiceError> {
-        if events.is_empty() {
-            return Ok(Vec::new());
-        }
         // Validate and resolve everything up front: a shard worker must
         // never fail mid-batch, and resolving once saves re-indexing
         // the event in every shard.
@@ -1427,6 +1439,44 @@ impl Broker {
         self.metrics
             .batch_events
             .fetch_add(events.len() as u64, Ordering::Relaxed);
+        self.publish_resolved(events, indexed)
+    }
+
+    /// [`Broker::publish_batch_prepared`] without its shape check and
+    /// batch accounting, for a single publish the caller resolved.
+    pub(crate) fn publish_resolved(
+        &self,
+        events: &[Arc<Event>],
+        indexed: &IndexedBatch,
+    ) -> Result<Vec<PublishReceipt>, ServiceError> {
+        let mut deliveries: Vec<Delivery> = events.iter().map(|_| Delivery::default()).collect();
+        let base_seq = self.publish_block(events, indexed, &mut deliveries)?;
+        Ok((base_seq..)
+            .zip(deliveries)
+            .map(|(sequence, d)| d.receipt(sequence, self.shards.len()))
+            .collect())
+    }
+
+    /// Arms the next publish so the shard worker of `shard` panics —
+    /// the fault-injection hook behind the panic-isolation tests. Every
+    /// publish entry point runs its shards through the same worker.
+    /// Not part of the supported API.
+    #[doc(hidden)]
+    pub fn inject_batch_worker_panic(&self, shard: usize) {
+        self.batch_fault.store(shard as u64 + 1, Ordering::Relaxed);
+    }
+
+    /// The serving routine behind every publish entry point: sequences
+    /// and records the block, runs every shard over it (inline for one
+    /// event or one shard, else one scoped thread per shard), then does
+    /// the per-event bookkeeping. `out[i]` receives event `i`'s
+    /// delivery, matches sorted; returns the first event's sequence.
+    fn publish_block(
+        &self,
+        events: &[Arc<Event>],
+        indexed: &IndexedBatch,
+        out: &mut [Delivery],
+    ) -> Result<u64, ServiceError> {
         let base_seq = self
             .sequence
             .fetch_add(events.len() as u64, Ordering::Relaxed);
@@ -1439,147 +1489,95 @@ impl Broker {
                 history.push_back(Arc::clone(event));
             }
         }
-
-        let snaps: Vec<Arc<ShardSnapshot>> = self
-            .shards
-            .iter()
-            .map(|s| s.snapshot.read().clone())
-            .collect();
-        // A panicking worker (a poisoned profile, a bug in a matching
-        // strategy) must not take the broker down or lose the other
-        // shards' deliveries: the panic is caught, counted, and the
-        // panicked shard contributes empty deliveries for this batch.
-        // `AssertUnwindSafe` is sound here: a worker only reads the
-        // immutable snapshot and sends on channels whose shared state
-        // is lock-protected and stays consistent (drift statistics are
-        // only touched later, in `finish_publish`).
-        let run_worker = |shard_idx: usize, snap: &ShardSnapshot| -> Vec<Delivery> {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.batch_worker(shard_idx, snap, indexed, events, base_seq)
-            }))
-            .unwrap_or_else(|_| {
-                self.metrics.shard_panics.fetch_add(1, Ordering::Relaxed);
-                (0..events.len()).map(|_| Delivery::default()).collect()
-            })
-        };
-        let mut per_shard: Vec<Vec<Delivery>> = if self.shards.len() == 1 {
-            vec![run_worker(0, &snaps[0])]
+        if events.len() == 1 || self.shards.len() == 1 {
+            for (s, shard) in self.shards.iter().enumerate() {
+                let snap = shard.snapshot.read().clone();
+                self.run_shard(s, &snap, indexed, events, base_seq, out);
+            }
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = snaps
+                let handles: Vec<_> = self
+                    .shards
                     .iter()
                     .enumerate()
-                    .map(|(s, snap)| {
-                        let run_worker = &run_worker;
-                        scope.spawn(move || run_worker(s, snap))
+                    .map(|(s, shard)| {
+                        let snap = shard.snapshot.read().clone();
+                        scope.spawn(move || {
+                            let mut part: Vec<Delivery> =
+                                events.iter().map(|_| Delivery::default()).collect();
+                            self.run_shard(s, &snap, indexed, events, base_seq, &mut part);
+                            part
+                        })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panics are caught inside"))
-                    .collect()
-            })
-        };
-
-        let mut receipts = Vec::with_capacity(events.len());
-        for (i, event) in events.iter().enumerate() {
-            let mut delivery = Delivery::default();
-            for shard in &mut per_shard {
-                let d = std::mem::take(&mut shard[i]);
-                delivery.matched.extend(d.matched);
-                delivery.dead.extend(d.dead);
-                delivery.overflowed += d.overflowed;
-                delivery.ops += d.ops;
-                delivery.overlay_ops += d.overlay_ops;
-                delivery.rejecting_shards += d.rejecting_shards;
-            }
-            let quenched = delivery.rejecting_shards == self.shards.len();
-            let sequence = base_seq + i as u64;
-            self.finish_publish(event, sequence, &mut delivery)?;
-            delivery.matched.sort_unstable();
-            receipts.push(PublishReceipt {
-                sequence,
-                matched: delivery.matched,
-                ops: delivery.ops,
-                quenched,
+                for h in handles {
+                    let part = h.join().expect("shard worker panics are caught inside");
+                    for (d, p) in out.iter_mut().zip(part) {
+                        d.absorb(p);
+                    }
+                }
             });
         }
+        for ((sequence, event), delivery) in (base_seq..).zip(events).zip(out.iter_mut()) {
+            self.finish_publish(event, sequence, delivery)?;
+            delivery.matched.sort_unstable();
+        }
         self.maybe_checkpoint();
-        Ok(receipts)
+        Ok(base_seq)
     }
 
-    /// Arms the next `publish_batch` so the worker of `shard` panics
-    /// mid-batch — the fault-injection hook behind the panic-isolation
-    /// tests. Not part of the supported API.
-    #[doc(hidden)]
-    pub fn inject_batch_worker_panic(&self, shard: usize) {
-        self.batch_fault.store(shard as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// Processes the whole batch for one shard, in order, through the
-    /// snapshot's block matching engine.
-    fn batch_worker(
+    /// Runs one shard over the whole block, in order, adding its
+    /// deliveries to `out`. A row the shard's inbound quench rejects
+    /// counts a rejecting shard, delivers nothing and counts no ops.
+    ///
+    /// A panic (a poisoned profile, a bug in a matching strategy) is
+    /// caught and counted, and the shard delivers nothing more for this
+    /// block. `AssertUnwindSafe` is sound: the worker only reads the
+    /// immutable snapshot and sends on channels whose shared state is
+    /// lock-protected (drift statistics are only touched later, in
+    /// `finish_publish`).
+    fn run_shard(
         &self,
         shard_idx: usize,
         snap: &ShardSnapshot,
         indexed: &IndexedBatch,
         events: &[Arc<Event>],
         base_seq: u64,
-    ) -> Vec<Delivery> {
-        let armed = self.batch_fault.load(Ordering::Relaxed);
-        if armed == shard_idx as u64 + 1
-            && self
-                .batch_fault
-                .compare_exchange(armed, 0, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            panic!("injected batch worker fault (shard {shard_idx})");
-        }
-        if snap.quench.is_some() {
-            // Inbound quenching pre-filters per event before matching;
-            // keep the single-event path so quenched events pay (and
-            // count) nothing.
-            return SCRATCH.with(|cell| {
-                let (row, scratch) = &mut *cell.borrow_mut();
-                events
-                    .iter()
-                    .enumerate()
-                    .map(|(i, event)| {
-                        let mut delivery = Delivery::default();
-                        row.copy_from_raw(indexed.row(i));
-                        self.match_and_deliver(
-                            snap,
-                            row,
-                            scratch,
-                            event,
-                            base_seq + i as u64,
-                            &mut delivery,
-                        );
-                        delivery
-                    })
-                    .collect()
-            });
-        }
-        BLOCK_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            snap.filter
-                .match_block(indexed, scratch, self.config.dfsa_dispatch);
-            events
-                .iter()
-                .enumerate()
-                .map(|(i, event)| {
-                    let mut delivery = Delivery {
-                        ops: scratch.ops_of(i),
-                        overlay_ops: scratch.overlay_ops_of(i),
-                        ..Delivery::default()
-                    };
-                    for &gpid in scratch.matched_of(i) {
-                        self.deliver_one(snap, gpid, event, base_seq + i as u64, &mut delivery);
+        out: &mut [Delivery],
+    ) {
+        let worker = || {
+            let armed = self.batch_fault.load(Ordering::Relaxed);
+            if armed == shard_idx as u64 + 1
+                && self
+                    .batch_fault
+                    .compare_exchange(armed, 0, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+            {
+                panic!("injected batch worker fault (shard {shard_idx})");
+            }
+            BLOCK_SCRATCH.with(|cell| {
+                let scratch = &mut *cell.borrow_mut();
+                snap.filter
+                    .match_block(indexed, scratch, self.config.dfsa_dispatch);
+                for (i, (event, delivery)) in events.iter().zip(out.iter_mut()).enumerate() {
+                    if let Some(q) = &snap.quench {
+                        if !q.allows_row(indexed.row(i)) {
+                            delivery.rejecting_shards += 1;
+                            continue;
+                        }
                     }
-                    delivery
-                })
-                .collect()
-        })
+                    delivery.ops += scratch.ops_of(i);
+                    delivery.overlay_ops += scratch.overlay_ops_of(i);
+                    let sequence = base_seq + i as u64;
+                    for &gpid in scratch.matched_of(i) {
+                        self.deliver_one(snap, gpid, event, sequence, delivery);
+                    }
+                }
+            });
+        };
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker)).is_err() {
+            self.metrics.shard_panics.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Delivers one matched global profile id to its subscriber.
@@ -1610,44 +1608,7 @@ impl Broker {
         }
     }
 
-    /// The lock-free per-(event, shard) hot path: quench check, match
-    /// against the snapshot, deliver to matched subscribers.
-    fn match_and_deliver(
-        &self,
-        snap: &ShardSnapshot,
-        indexed: &IndexedEvent,
-        scratch: &mut SnapshotScratch,
-        event: &Arc<Event>,
-        sequence: u64,
-        out: &mut Delivery,
-    ) {
-        if let Some(q) = &snap.quench {
-            if !q.allows_indexed(indexed) {
-                out.rejecting_shards += 1;
-                return;
-            }
-        }
-        snap.filter
-            .match_into(indexed, scratch, self.config.dfsa_dispatch);
-        out.ops += scratch.ops();
-        out.overlay_ops += scratch.overlay_ops();
-        for &gpid in scratch.matched() {
-            self.deliver_one(snap, gpid, event, sequence, out);
-        }
-    }
-
-    fn record_history(&self, event: &Arc<Event>) {
-        if self.config.history_capacity > 0 {
-            let mut history = self.history.lock();
-            if history.len() == self.config.history_capacity {
-                history.pop_front();
-            }
-            history.push_back(Arc::clone(event));
-        }
-    }
-
-    /// Post-delivery bookkeeping shared by `publish` and
-    /// `publish_batch`: metrics, sampled drift statistics (with
+    /// Per-event bookkeeping after delivery: metrics, sampled drift statistics (with
     /// adaptive rebuilds) and garbage collection of hung-up
     /// subscribers.
     fn finish_publish(
@@ -1874,16 +1835,6 @@ impl Broker {
     #[must_use]
     pub fn recent_events(&self) -> Vec<Arc<Event>> {
         self.history.lock().iter().map(Arc::clone).collect()
-    }
-
-    /// Total adaptive (drift-triggered) rebuilds plus churn compactions
-    /// across all shards, as `(rebuilds, compactions)`.
-    #[must_use]
-    pub fn rebuild_counts(&self) -> (u64, u64) {
-        (
-            self.metrics.tree_rebuilds.load(Ordering::Relaxed),
-            self.metrics.overlay_compactions.load(Ordering::Relaxed),
-        )
     }
 
     /// Counter snapshot.

@@ -88,7 +88,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use ens_filter::{FilterSnapshot, SnapshotScratch, TreeConfig};
+use ens_filter::{FilterSnapshot, SnapshotBlockScratch, TreeConfig};
 use ens_types::{
     profile_signature, CoverOutcome, CoverSet, Event, IndexedBatch, IndexedEvent, Profile,
     ProfileSet, Schema,
@@ -559,11 +559,12 @@ struct FedState {
     /// Highest origin sequence seen per origin broker (multi-hop
     /// duplicate suppression; exact on acyclic overlays).
     origin_floors: HashMap<u64, u64>,
-    scratch: SnapshotScratch,
     ix_scratch: IndexedEvent,
     /// Reusable arena for batched egress resolution and ingress
     /// assembly.
     batch_scratch: IndexedBatch,
+    /// Block-match buffers for egress interest filtering.
+    block_scratch: SnapshotBlockScratch,
     listener: Option<TcpListener>,
     pending_accepts: Vec<PendingAccept>,
     /// Passive-side adoption slots, by peer node id.
@@ -610,9 +611,9 @@ impl Federation {
                 next_interest_id: 1,
                 next_origin_seq: 1,
                 origin_floors: HashMap::new(),
-                scratch: SnapshotScratch::new(),
                 ix_scratch: IndexedEvent::new(),
                 batch_scratch: IndexedBatch::new(),
+                block_scratch: SnapshotBlockScratch::new(),
                 listener: None,
                 pending_accepts: Vec::new(),
                 slots: HashMap::new(),
@@ -808,23 +809,17 @@ impl Federation {
 
     /// Publishes a locally originated event: local subscribers are
     /// notified through the broker, and the event is forwarded to
-    /// every peer whose interest filter matches it.
+    /// every peer whose interest filter matches it. This is
+    /// [`Federation::publish_batch`] on a batch of one, so the event is
+    /// resolved once for both.
     ///
     /// # Errors
     ///
     /// Propagates local publish errors.
     pub fn publish(&self, event: &Event) -> Result<PublishReceipt, ServiceError> {
-        let receipt = self.broker.publish(event)?;
-        let st = &mut *self.lock();
-        let mut batch = std::mem::take(&mut st.batch_scratch);
-        let resolved = batch.resolve_into(&self.schema, std::iter::once(event));
-        if let Err(e) = resolved {
-            st.batch_scratch = batch;
-            return Err(ServiceError::Types(e));
-        }
-        self.forward_indexed(st, &batch);
-        st.batch_scratch = batch;
-        Ok(receipt)
+        let events = [Arc::new(event.clone())];
+        let mut receipts = self.publish_local(&events, Broker::publish_resolved)?;
+        Ok(receipts.pop().expect("one receipt per published event"))
     }
 
     /// Publishes a locally originated batch: the events are resolved
@@ -842,6 +837,23 @@ impl Federation {
         if events.is_empty() {
             return Ok(Vec::new());
         }
+        self.publish_local(events, Broker::publish_batch_prepared)
+    }
+
+    /// Resolves `events` once, serves them locally through `publish`
+    /// and forwards the same rows to interested peers.
+    fn publish_local<P>(
+        &self,
+        events: &[Arc<Event>],
+        publish: P,
+    ) -> Result<Vec<PublishReceipt>, ServiceError>
+    where
+        P: FnOnce(
+            &Broker,
+            &[Arc<Event>],
+            &IndexedBatch,
+        ) -> Result<Vec<PublishReceipt>, ServiceError>,
+    {
         let st = &mut *self.lock();
         let mut batch = std::mem::take(&mut st.batch_scratch);
         let resolved = batch.resolve_into(&self.schema, events.iter().map(Arc::as_ref));
@@ -849,7 +861,7 @@ impl Federation {
             st.batch_scratch = batch;
             return Err(ServiceError::Types(e));
         }
-        let receipts = match self.broker.publish_batch_prepared(events, &batch) {
+        let receipts = match publish(&self.broker, events, &batch) {
             Ok(r) => r,
             Err(e) => {
                 st.batch_scratch = batch;
@@ -869,42 +881,49 @@ impl Federation {
     fn forward_indexed(&self, st: &mut FedState, batch: &IndexedBatch) {
         let first = st.next_origin_seq;
         st.next_origin_seq += batch.len() as u64;
-        if st.links.is_empty() {
-            return;
-        }
-        let width = batch.width() as u32;
-        let mut per_peer: HashMap<u64, (Vec<u64>, Vec<Vec<u64>>)> = HashMap::new();
-        for i in 0..batch.len() {
-            let row = batch.row(i);
-            st.ix_scratch.copy_from_raw(row);
-            for link in &st.links {
-                let peer = link.peer();
-                let Some(interest) = st.interest.get(&peer) else {
-                    continue;
-                };
-                let Some(snapshot) = interest.snapshot.as_ref() else {
-                    continue;
-                };
-                snapshot.match_into(&st.ix_scratch, &mut st.scratch, false);
-                if st.scratch.is_match() {
-                    let (seqs, rows) = per_peer.entry(peer).or_default();
-                    seqs.push(first + i as u64);
-                    rows.push(row.to_vec());
-                }
-            }
-        }
+        let ttl = u32::from(self.max_hops);
+        Self::forward_rows(st, batch, self.node, ttl, &[], |i| first + i as u64);
+    }
+
+    /// Enqueues row `i` of `batch`, stamped with `origin` and
+    /// `origin_seq(i)`, to every peer outside `skip` whose interest
+    /// filter matches it: one `Batch` carrying `ttl` per interested peer.
+    fn forward_rows(
+        st: &mut FedState,
+        batch: &IndexedBatch,
+        origin: u64,
+        ttl: u32,
+        skip: &[u64],
+        origin_seq: impl Fn(usize) -> u64,
+    ) {
         for link in &mut st.links {
-            if let Some((origin_seqs, rows)) = per_peer.remove(&link.peer()) {
-                st.forwarded_rows += rows.len() as u64;
-                link.enqueue(Msg::Batch {
-                    first_seq: 0,
-                    origin: self.node,
-                    ttl: u32::from(self.max_hops),
-                    width,
-                    origin_seqs,
-                    rows,
-                });
+            let peer = link.peer();
+            if skip.contains(&peer) {
+                continue;
             }
+            let Some(snapshot) = st
+                .interest
+                .get(&peer)
+                .and_then(|interest| interest.snapshot.as_ref())
+            else {
+                continue;
+            };
+            snapshot.match_block(batch, &mut st.block_scratch, false);
+            let hits: Vec<usize> = (0..batch.len())
+                .filter(|&i| !st.block_scratch.matched_of(i).is_empty())
+                .collect();
+            if hits.is_empty() {
+                continue;
+            }
+            st.forwarded_rows += hits.len() as u64;
+            link.enqueue(Msg::Batch {
+                first_seq: 0,
+                origin,
+                ttl,
+                width: batch.width() as u32,
+                origin_seqs: hits.iter().map(|&i| origin_seq(i)).collect(),
+                rows: hits.iter().map(|&i| batch.row(i).to_vec()).collect(),
+            });
         }
     }
 
@@ -1206,44 +1225,10 @@ impl Federation {
                         // only to its own subscribers.
                         if self.max_hops > 0 && ttl > 0 {
                             let ttl_out = (ttl - 1).min(u32::from(self.max_hops));
-                            let width = batch.width() as u32;
-                            let mut per_peer: HashMap<u64, (Vec<u64>, Vec<Vec<u64>>)> =
-                                HashMap::new();
-                            for (i, (_, _, oseq)) in accepted.iter().enumerate() {
-                                let row = batch.row(i);
-                                st.ix_scratch.copy_from_raw(row);
-                                for link in &st.links {
-                                    let out = link.peer();
-                                    if out == peer || out == origin {
-                                        continue;
-                                    }
-                                    let Some(interest) = st.interest.get(&out) else {
-                                        continue;
-                                    };
-                                    let Some(snapshot) = interest.snapshot.as_ref() else {
-                                        continue;
-                                    };
-                                    snapshot.match_into(&st.ix_scratch, &mut st.scratch, false);
-                                    if st.scratch.is_match() {
-                                        let (seqs, out_rows) = per_peer.entry(out).or_default();
-                                        seqs.push(*oseq);
-                                        out_rows.push(row.to_vec());
-                                    }
-                                }
-                            }
-                            for link in &mut st.links {
-                                if let Some((oseqs, out_rows)) = per_peer.remove(&link.peer()) {
-                                    st.forwarded_rows += out_rows.len() as u64;
-                                    link.enqueue(Msg::Batch {
-                                        first_seq: 0,
-                                        origin,
-                                        ttl: ttl_out,
-                                        width,
-                                        origin_seqs: oseqs,
-                                        rows: out_rows,
-                                    });
-                                }
-                            }
+                            let skip = [peer, origin];
+                            Self::forward_rows(st, &batch, origin, ttl_out, &skip, |i| {
+                                accepted[i].2
+                            });
                         }
                     }
                     st.batch_scratch = batch;

@@ -14,8 +14,8 @@ pub(crate) struct Metrics {
     /// The overlay side-index's share of `total_ops` — what matching
     /// the not-yet-compacted subscriptions cost.
     pub overlay_ops: AtomicU64,
-    /// Events that entered through `publish_batch` (block matching
-    /// engine) rather than the single-event path.
+    /// Events that entered through a `publish_batch*` call rather than
+    /// a single publish.
     pub batch_events: AtomicU64,
     pub dropped_notifications: AtomicU64,
     /// Notifications lost to a bounded channel's overflow policy
@@ -105,8 +105,8 @@ pub struct MetricsSnapshot {
     /// [`MetricsSnapshot::overlay_ops_per_event`] between compactions
     /// makes the overlay's matching-cost decay observable.
     pub overlay_ops: u64,
-    /// Events published through `publish_batch` — the block matching
-    /// engine — as opposed to the single-event path.
+    /// Events published through a `publish_batch*` call, as opposed to
+    /// single publishes (which are served as blocks of one).
     pub batch_events: u64,
     /// Notifications dropped because the subscriber hung up (or was
     /// disconnected by an `OverflowPolicy::Disconnect` overflow).

@@ -11,8 +11,8 @@
 //!   parent-directory fsync). The newest
 //!   [`DurabilityConfig::checkpoint_generations`] generations are
 //!   retained; recovery loads the newest CRC-valid one and falls back
-//!   a generation when bit rot took the newest out. (The pre-
-//!   generational name `checkpoint.bin` is read as generation 0.)
+//!   a generation when bit rot took the newest out. Generations count
+//!   from 1.
 //! * **`wal.log`** — append-only [`WalRecord`] frames for everything
 //!   that changed *since* the oldest retained checkpoint: subscribes,
 //!   unsubscribes and accepted retunes. Each frame is
@@ -48,31 +48,21 @@ pub const WAL_FILE: &str = "wal.log";
 /// Temp name the WAL is staged under while it is rewritten (trimmed
 /// after a checkpoint retires old generations).
 pub const WAL_TMP_FILE: &str = "wal.tmp";
-/// Legacy (pre-generational) checkpoint file name, read as
-/// generation 0.
-pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// Temp name a checkpoint is staged under before the atomic rename.
 pub const CHECKPOINT_TMP_FILE: &str = "checkpoint.tmp";
 
 /// The file name of checkpoint generation `gen`
-/// (`checkpoint.<gen>.ens`; generation 0 is the legacy
-/// [`CHECKPOINT_FILE`]).
+/// (`checkpoint.<gen>.ens`).
 #[must_use]
 pub fn checkpoint_gen_file(gen: u64) -> String {
-    if gen == 0 {
-        CHECKPOINT_FILE.to_string()
-    } else {
-        format!("checkpoint.{gen}.ens")
-    }
+    format!("checkpoint.{gen}.ens")
 }
 
-/// Parses a checkpoint generation number back out of a file name
-/// produced by [`checkpoint_gen_file`]; `None` for any other name.
+/// Parses a checkpoint generation number (at least 1) back out of a
+/// file name produced by [`checkpoint_gen_file`]; `None` for any other
+/// name.
 #[must_use]
 pub fn parse_checkpoint_gen(name: &str) -> Option<u64> {
-    if name == CHECKPOINT_FILE {
-        return Some(0);
-    }
     let gen: u64 = name
         .strip_prefix("checkpoint.")?
         .strip_suffix(".ens")?

@@ -120,7 +120,13 @@ impl QuenchAdvice {
     /// were validated during resolution, so no error is possible).
     #[must_use]
     pub fn allows_indexed(&self, event: &IndexedEvent) -> bool {
-        for (k, &idx) in event.raw().iter().enumerate() {
+        self.allows_row(event.raw())
+    }
+
+    /// [`QuenchAdvice::allows_indexed`] over a raw resolved row (the
+    /// form an [`ens_types::IndexedBatch`] stores).
+    pub(crate) fn allows_row(&self, raw: &[u64]) -> bool {
+        for (k, &idx) in raw.iter().enumerate() {
             if idx != IndexedEvent::MISSING
                 && k < self.covered.len()
                 && !self.covered[k].contains(idx)

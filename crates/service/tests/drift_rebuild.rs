@@ -146,6 +146,48 @@ fn model_shaped_trees_still_rebuild_on_drift() {
     assert_eq!(m.drift_rebaselines, 0, "{m}");
 }
 
+/// After traffic settles on one band, the rebuilt V1 tree scans that
+/// band first: a hot event costs a single comparison.
+#[test]
+fn adapted_tree_scans_the_hot_band_first() {
+    let s = Schema::builder()
+        .attribute("x", Domain::int(0, 99))
+        .unwrap()
+        .build();
+    let broker = Broker::new(
+        &s,
+        BrokerConfig {
+            tree: TreeConfig {
+                search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+                ..TreeConfig::default()
+            },
+            rebuild: RebuildPolicy {
+                min_events: 100,
+                drift_threshold: 0.3,
+                decay_on_rebuild: false,
+                drift_check_every: 1,
+                ..RebuildPolicy::default()
+            },
+            ..BrokerConfig::default()
+        },
+    )
+    .unwrap();
+    let profiles = ["profile(x in [10, 19])", "profile(x in [80, 89])"]
+        .map(|src| parse_profile(&s, src, ProfileId::new(0)).unwrap());
+    let subs = broker.subscribe_many(profiles).unwrap();
+    let hot = Event::builder(&s).value("x", 85).unwrap().build();
+    let cold = broker.publish(&hot).unwrap();
+    assert!(
+        cold.ops > 1,
+        "the uniform prior does not favour the hot band"
+    );
+    for _ in 0..300 {
+        assert_eq!(broker.publish(&hot).unwrap().matched, vec![subs[1].id()]);
+    }
+    assert!(broker.metrics().tree_rebuilds >= 1);
+    assert_eq!(broker.publish(&hot).unwrap().ops, 1);
+}
+
 #[test]
 fn drift_with_a_pending_overlay_still_compacts() {
     let m = run(TreeConfig::default(), true);

@@ -169,4 +169,12 @@ fn batch_worker_panic_is_isolated_to_its_shard() {
     assert_eq!(b.metrics().shard_panics, 1);
     assert_eq!(sub.drain().len(), 8);
     assert_eq!(b.metrics().subscriptions, 1);
+
+    // A single publish runs the same shard workers, isolation included.
+    b.inject_batch_worker_panic(0);
+    b.publish(&batch[0]).expect("publish must survive");
+    assert_eq!(b.metrics().shard_panics, 2);
+    assert!(sub.drain().len() <= 1);
+    b.publish(&batch[0]).expect("next publish");
+    assert_eq!(sub.drain().len(), 1);
 }

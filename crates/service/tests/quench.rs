@@ -7,8 +7,10 @@
 //! both the exported [`QuenchAdvice`] and the broker's inbound
 //! pre-filter.
 
+use std::sync::Arc;
+
 use ens_filter::RebuildPolicy;
-use ens_service::{Broker, BrokerConfig, Subscriber, SubscriptionId};
+use ens_service::{Broker, BrokerConfig, PublishReceipt, Subscriber, SubscriptionId};
 use ens_types::{Event, IndexedEvent, Predicate, Profile};
 use ens_workloads::{churn_burst_plan, scenario::environmental_schema, ChurnOp};
 use proptest::prelude::*;
@@ -131,4 +133,95 @@ fn advice_tracks_subscribe_and_unsubscribe() {
     broker.unsubscribe(hot.id()).unwrap();
     let advice = broker.quench_advice();
     assert!(!advice.allows(&event(45)).unwrap());
+}
+
+/// Inbound quenching on the block path: a broker publishing in blocks
+/// of `block` events must quench, match and count exactly like its twin
+/// publishing one event at a time. A scripted prefix visits a settled
+/// population, tombstones present and an overlay pending (quenching
+/// paused); then the twins run a random churn plan.
+fn batched_twin_agrees(block: usize) {
+    let script = churn_burst_plan(0x9e3c, 3, 48, 14).unwrap();
+    let plan = churn_burst_plan(0x9e3d, 6, 48, 3).unwrap();
+    let single = Broker::new(&plan.schema, churn_config()).unwrap();
+    let batched = Broker::new(&plan.schema, churn_config()).unwrap();
+    let burst = |events: &[Event]| {
+        let events: Vec<Arc<Event>> = events.iter().cloned().map(Arc::new).collect();
+        let want: Vec<PublishReceipt> = events.iter().map(|e| single.publish(e).unwrap()).collect();
+        let got: Vec<PublishReceipt> = events
+            .chunks(block)
+            .flat_map(|c| batched.publish_batch(c).unwrap())
+            .collect();
+        assert_eq!(got, want, "block {block}");
+        let quenched: Vec<&PublishReceipt> = want.iter().filter(|r| r.quenched).collect();
+        assert!(quenched.iter().all(|r| r.matched.is_empty() && r.ops == 0));
+        quenched.len()
+    };
+    let profiles: Vec<Profile> = script
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            ChurnOp::Subscribe(p) => Some(p.clone()),
+            _ => None,
+        })
+        .collect();
+    let events = |k: usize| &script.events[48 * k..48 * (k + 1)];
+
+    // Settled: both shards compiled, quenching active.
+    let load = profiles[..12].to_vec();
+    let mut live: Vec<(Subscriber, Subscriber)> = single
+        .subscribe_many(load.clone())
+        .unwrap()
+        .into_iter()
+        .zip(batched.subscribe_many(load).unwrap())
+        .collect();
+    let mut quenched = burst(events(0));
+    // One tombstone per shard (below `max_removed`): still quenching.
+    for _ in 0..2 {
+        let (a, b) = live.remove(0);
+        single.unsubscribe(a.id()).unwrap();
+        batched.unsubscribe(b.id()).unwrap();
+    }
+    quenched += burst(events(1));
+    assert!(quenched > 0, "the script must quench some events");
+    // One overlay entry per shard: quenching paused.
+    let before = single.metrics().overlay_ops;
+    for p in &profiles[12..14] {
+        live.push((
+            single.subscribe_profile(p.clone()).unwrap(),
+            batched.subscribe_profile(p.clone()).unwrap(),
+        ));
+    }
+    assert_eq!(burst(events(2)), 0, "an overlay pending pauses quenching");
+    assert!(
+        single.metrics().overlay_ops > before,
+        "the overlay was matched"
+    );
+
+    for op in &plan.ops {
+        match op {
+            ChurnOp::Subscribe(p) => live.push((
+                single.subscribe_profile(p.clone()).unwrap(),
+                batched.subscribe_profile(p.clone()).unwrap(),
+            )),
+            ChurnOp::Unsubscribe(k) => {
+                let (a, b) = live.remove(*k);
+                single.unsubscribe(a.id()).unwrap();
+                batched.unsubscribe(b.id()).unwrap();
+            }
+            ChurnOp::Burst(r) => {
+                burst(&plan.events[r.clone()]);
+            }
+        }
+    }
+    let (s, b) = (single.metrics(), batched.metrics());
+    assert_eq!(s.quenched_events, b.quenched_events, "block {block}");
+    assert_eq!(s.total_ops, b.total_ops, "block {block}");
+}
+
+#[test]
+fn batched_publish_quenches_like_single_publish() {
+    for block in [1, 7, 64] {
+        batched_twin_agrees(block);
+    }
 }

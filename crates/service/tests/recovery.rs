@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use ens_filter::{Direction, RebuildPolicy, SearchStrategy, TreeConfig, TuningPolicy, ValueOrder};
 use ens_service::persist::{
-    checkpoint_gen_file, decode_wal, parse_checkpoint_gen, WalRecord, CHECKPOINT_FILE, WAL_FILE,
+    checkpoint_gen_file, decode_wal, parse_checkpoint_gen, WalRecord, WAL_FILE,
 };
 use ens_service::{
     Broker, BrokerConfig, DurabilityConfig, FsyncPolicy, Subscriber, SubscriptionId,
@@ -108,7 +108,7 @@ fn verify_crash_point(
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
     if let Some(cp) = checkpoint {
-        std::fs::write(dir.join(CHECKPOINT_FILE), cp).unwrap();
+        std::fs::write(dir.join(checkpoint_gen_file(1)), cp).unwrap();
     }
     std::fs::write(dir.join(WAL_FILE), wal_prefix).unwrap();
 

@@ -2,6 +2,7 @@ use std::fmt;
 
 use ens_dist::DistError;
 use ens_filter::FilterError;
+use ens_service::ServiceError;
 use ens_types::TypesError;
 
 /// Errors produced by workload generation and experiment runners.
@@ -16,6 +17,8 @@ pub enum WorkloadError {
     Dist(DistError),
     /// A data-model operation failed.
     Types(TypesError),
+    /// A broker operation failed.
+    Service(ServiceError),
 }
 
 impl fmt::Display for WorkloadError {
@@ -25,6 +28,7 @@ impl fmt::Display for WorkloadError {
             WorkloadError::Filter(e) => write!(f, "{e}"),
             WorkloadError::Dist(e) => write!(f, "{e}"),
             WorkloadError::Types(e) => write!(f, "{e}"),
+            WorkloadError::Service(e) => write!(f, "{e}"),
         }
     }
 }
@@ -35,6 +39,7 @@ impl std::error::Error for WorkloadError {
             WorkloadError::Filter(e) => Some(e),
             WorkloadError::Dist(e) => Some(e),
             WorkloadError::Types(e) => Some(e),
+            WorkloadError::Service(e) => Some(e),
             WorkloadError::Shape(_) => None,
         }
     }
@@ -53,6 +58,11 @@ impl From<DistError> for WorkloadError {
 impl From<TypesError> for WorkloadError {
     fn from(e: TypesError) -> Self {
         WorkloadError::Types(e)
+    }
+}
+impl From<ServiceError> for WorkloadError {
+    fn from(e: ServiceError) -> Self {
+        WorkloadError::Service(e)
     }
 }
 

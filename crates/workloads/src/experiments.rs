@@ -12,9 +12,10 @@ use std::time::Instant;
 use ens_dist::stats::{PrecisionStopper, RunningStats};
 use ens_dist::{Density, DistOverDomain, DistributionCatalog, JointDist};
 use ens_filter::{
-    AttributeMeasure, AttributeOrder, CostModel, Direction, ProfileTree, SearchStrategy,
-    TreeConfig, ValueOrder,
+    AttributeMeasure, AttributeOrder, CostModel, Direction, ProfileTree, RebuildPolicy,
+    SearchStrategy, TreeConfig, ValueOrder,
 };
+use ens_service::{Broker, BrokerConfig};
 use ens_types::{Domain, Predicate, ProfileSet, Schema};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -691,20 +692,21 @@ pub struct AdaptiveSweepRow {
     pub rebuilds: u64,
 }
 
-/// Sweeps the adaptive filter's drift threshold on a workload whose
-/// event distribution shifts between two peaks (the §5 scenario: "the
+/// Sweeps the broker's drift threshold on a workload whose event
+/// distribution shifts between two peaks (the §5 scenario: "the
 /// algorithm … has to maintain a history of events in order to
 /// determine the event distribution").
 ///
-/// Returns one row per threshold; the last row (`threshold > 2`) is the
-/// non-adaptive control.
+/// Each row runs a fresh [`Broker`] with a V1 tree and a drift check on
+/// every event; operations come from the publish receipts and rebuilds
+/// from [`ens_service::MetricsSnapshot::tree_rebuilds`]. Returns one row
+/// per threshold; the last row (`threshold > 2`) is the non-adaptive
+/// control.
 ///
 /// # Errors
 ///
 /// Propagates experiment errors.
 pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError> {
-    use ens_filter::{AdaptiveFilter, AdaptivePolicy};
-
     let schema = Schema::builder()
         .attribute("x", Domain::int(0, 99))?
         .build();
@@ -718,16 +720,22 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
 
     let mut rows = Vec::new();
     for threshold in [0.05, 0.15, 0.30, 0.60, 2.5] {
-        let config = TreeConfig {
-            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-            ..TreeConfig::default()
+        let config = BrokerConfig {
+            tree: TreeConfig {
+                search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+                ..TreeConfig::default()
+            },
+            rebuild: RebuildPolicy {
+                min_events: 200,
+                drift_threshold: threshold,
+                decay_on_rebuild: true,
+                drift_check_every: 1,
+                ..RebuildPolicy::default()
+            },
+            ..BrokerConfig::default()
         };
-        let policy = AdaptivePolicy {
-            min_events: 200,
-            drift_threshold: threshold,
-            decay_on_rebuild: true,
-        };
-        let mut filter = AdaptiveFilter::new(&profiles, config, policy)?;
+        let broker = Broker::new(&schema, config)?;
+        let _subscribers = broker.subscribe_many(profiles.iter().cloned())?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut total_ops = 0u64;
         let mut events = 0u64;
@@ -738,15 +746,14 @@ pub fn adaptive_sweep(seed: u64) -> Result<Vec<AdaptiveSweepRow>, WorkloadError>
                 let e = ens_types::Event::builder(&schema)
                     .value("x", idx as i64)?
                     .build();
-                let out = filter.process(&e)?;
-                total_ops += out.ops();
+                total_ops += broker.publish(&e)?.ops;
                 events += 1;
             }
         }
         rows.push(AdaptiveSweepRow {
             threshold,
             avg_ops: total_ops as f64 / events as f64,
-            rebuilds: filter.rebuild_count(),
+            rebuilds: broker.metrics().tree_rebuilds,
         });
     }
     Ok(rows)

@@ -1,15 +1,13 @@
 //! Adaptive restructuring under distribution drift — the §5 scenario:
 //! "the algorithm … has to maintain a history of events in order to
 //! determine the event distribution". Traffic alternates between two
-//! peaks; the adaptive filter notices the drift and reorders each node
-//! so the currently hot subrange is scanned first.
+//! peaks; the broker's drift tracker notices the drift and the broker
+//! rebuilds each node so the currently hot subrange is scanned first.
 //!
 //! Run with `cargo run --example adaptive_service`.
 
 use ens::dist::{Density, DistOverDomain};
-use ens::filter::{
-    AdaptiveFilter, AdaptivePolicy, Direction, SearchStrategy, TreeConfig, ValueOrder,
-};
+use ens::filter::{Direction, SearchStrategy, TreeConfig, ValueOrder};
 use ens::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,38 +16,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = Schema::builder()
         .attribute("reading", Domain::int(0, 99))?
         .build();
-    let mut profiles = ProfileSet::new(&schema);
-    for v in 10..20 {
-        profiles.insert_with(|b| b.predicate("reading", Predicate::eq(v)))?;
-    }
-    for v in 80..90 {
-        profiles.insert_with(|b| b.predicate("reading", Predicate::eq(v)))?;
-    }
-
-    let config = TreeConfig {
-        search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
-        ..TreeConfig::default()
-    };
-    let mut adaptive = AdaptiveFilter::new(
-        &profiles,
-        config,
-        AdaptivePolicy {
+    let config = BrokerConfig {
+        tree: TreeConfig {
+            search: SearchStrategy::Linear(ValueOrder::EventProb(Direction::Descending)),
+            ..TreeConfig::default()
+        },
+        rebuild: RebuildPolicy {
             min_events: 300,
             drift_threshold: 0.25,
             decay_on_rebuild: true,
+            drift_check_every: 1,
+            ..RebuildPolicy::default()
         },
-    )?;
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::new(&schema, config)?;
+    let mut profiles = ProfileSet::new(&schema);
+    for v in (10..20).chain(80..90) {
+        profiles.insert_with(|b| b.predicate("reading", Predicate::eq(v)))?;
+    }
+    let _subscribers = broker.subscribe_many(profiles.iter().cloned())?;
 
     let low = DistOverDomain::new(Density::peak(0.10, 0.10, 0.9)?, 100);
     let high = DistOverDomain::new(Density::peak(0.80, 0.10, 0.9)?, 100);
     let mut rng = StdRng::seed_from_u64(3);
 
-    for (phase, dist) in [("low-peak", &low), ("high-peak", &high), ("low-peak", &low)]
-        .iter()
+    for (i, (name, dist)) in [("low-peak", &low), ("high-peak", &high), ("low-peak", &low)]
+        .into_iter()
         .enumerate()
-        .map(|(i, (name, d))| ((i, *name), *d))
     {
-        let (i, name) = phase;
         let mut ops = 0u64;
         let n = 3_000;
         for _ in 0..n {
@@ -57,21 +52,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let e = Event::builder(&schema)
                 .value("reading", idx as i64)?
                 .build();
-            ops += adaptive.process(&e)?.ops();
+            ops += broker.publish(&e)?.ops;
         }
         println!(
-            "phase {i} ({name:<9}): {:.3} ops/event, {} rebuild(s) so far, drift now {:.3}",
+            "phase {i} ({name:<9}): {:.3} ops/event, {} rebuild(s) so far",
             ops as f64 / n as f64,
-            adaptive.rebuild_count(),
-            adaptive.current_drift()?
+            broker.metrics().tree_rebuilds,
         );
     }
+    let hot = broker.publish(&Event::builder(&schema).value("reading", 15)?.build())?;
     println!(
         "final tree scans the currently hot band first: hot hit costs {} op(s)",
-        adaptive
-            .tree()
-            .match_event(&Event::builder(&schema).value("reading", 15)?.build())?
-            .ops()
+        hot.ops
     );
     Ok(())
 }
