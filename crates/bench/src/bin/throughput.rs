@@ -12,7 +12,8 @@
 //! Usage:
 //!
 //! ```text
-//! throughput [--events N] [--profiles N] [--min-ms MS] [--out PATH] [--quiet]
+//! throughput [--events N] [--profiles N] [--min-ms MS] [--out PATH]
+//!            [--sections all|matchers|broker|profile_scale] [--scale-cap N] [--quiet]
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -434,6 +435,17 @@ struct MatchersReport {
     summary: Summary,
 }
 
+/// The reduced report of `--sections broker`: the matcher tables plus
+/// `broker_scaling` (used by the CI delivery guard, which normalises
+/// the broker publish rate by the co-measured matcher rate).
+#[derive(Debug, Serialize)]
+struct BrokerReport {
+    config: Config,
+    workloads: Vec<WorkloadReport>,
+    summary: Summary,
+    broker_scaling: BrokerScaling,
+}
+
 /// The reduced report of `--sections profile_scale`: just the covering
 /// scale study (used by the CI covering regression guard, typically
 /// with `--scale-cap` to stay at smoke sizes).
@@ -459,6 +471,8 @@ enum Sections {
     All,
     /// Config + per-matcher workload tables + summary only.
     Matchers,
+    /// The `Matchers` sections plus `broker_scaling`.
+    Broker,
     /// Config + the covering scale study only.
     ProfileScale,
 }
@@ -511,6 +525,7 @@ fn main() -> ExitCode {
             "--sections" => match args.next().as_deref() {
                 Some("all") => opts.sections = Sections::All,
                 Some("matchers") => opts.sections = Sections::Matchers,
+                Some("broker") => opts.sections = Sections::Broker,
                 Some("profile_scale") => opts.sections = Sections::ProfileScale,
                 _ => return usage(),
             },
@@ -534,7 +549,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: throughput [--events N] [--profiles N] [--min-ms MS] [--out PATH] \
-         [--sections all|matchers|profile_scale] [--scale-cap N] [--quiet]"
+         [--sections all|matchers|broker|profile_scale] [--scale-cap N] [--quiet]"
     );
     ExitCode::from(2)
 }
@@ -550,13 +565,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             },
             profile_scale: bench_profile_scale(opts)?,
         };
-        let json = serde_json::to_string_pretty(&report)?;
-        std::fs::write(&opts.out, &json)?;
-        if !opts.quiet {
-            println!("{json}");
-        }
-        eprintln!("wrote {} (profile_scale section only)", opts.out);
-        return Ok(());
+        return emit(&report, opts, " (profile_scale section only)");
     }
     // Default to 1000 subscriptions per workload: the paper (and the
     // ROADMAP north star) target large subscription populations, where
@@ -606,13 +615,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             workloads: reports,
             summary,
         };
-        let json = serde_json::to_string_pretty(&report)?;
-        std::fs::write(&opts.out, &json)?;
-        if !opts.quiet {
-            println!("{json}");
-        }
-        eprintln!("wrote {} (matchers sections only)", opts.out);
-        return Ok(());
+        return emit(&report, opts, " (matchers sections only)");
     }
     let broker_scaling = BrokerScaling {
         hardware_threads: std::thread::available_parallelism()
@@ -624,6 +627,15 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Result<_, _>>()?,
         subscribe_latency: bench_subscribe_latency(opts)?,
     };
+    if opts.sections == Sections::Broker {
+        let report = BrokerReport {
+            config,
+            workloads: reports,
+            summary,
+            broker_scaling,
+        };
+        return emit(&report, opts, " (matchers + broker_scaling sections only)");
+    }
     let report = Report {
         config,
         workloads: reports,
@@ -636,12 +648,22 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         profile_scale: bench_profile_scale(opts)?,
         federation: bench_federation(opts)?,
     };
-    let json = serde_json::to_string_pretty(&report)?;
+    emit(&report, opts, "")
+}
+
+/// Writes `report` to `--out` (and stdout unless `--quiet`); `what`
+/// names a reduced report's sections in the closing message.
+fn emit(
+    report: &impl Serialize,
+    opts: &Options,
+    what: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let json = serde_json::to_string_pretty(report)?;
     std::fs::write(&opts.out, &json)?;
     if !opts.quiet {
         println!("{json}");
     }
-    eprintln!("wrote {}", opts.out);
+    eprintln!("wrote {}{what}", opts.out);
     Ok(())
 }
 

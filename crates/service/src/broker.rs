@@ -1569,6 +1569,8 @@ impl Broker {
                     delivery.ops += scratch.ops_of(i);
                     delivery.overlay_ops += scratch.overlay_ops_of(i);
                     let sequence = base_seq + i as u64;
+                    // Size the receipt once rather than by doubling.
+                    delivery.matched.reserve(scratch.matched_of(i).len());
                     for &gpid in scratch.matched_of(i) {
                         self.deliver_one(snap, gpid, event, sequence, delivery);
                     }

@@ -12,6 +12,21 @@
 //! `DropOldest` is why this is hand-rolled rather than a bounded
 //! channel from a library shim: eviction pops from the *send* side,
 //! an operation classical bounded channels do not expose.
+//!
+//! # Wake rule
+//!
+//! A send wakes a receiver only when one is blocked. The channel
+//! state counts the receivers parked in [`Receiver::recv_timeout`]:
+//! the count rises under the state mutex just before the wait and
+//! falls after every return from it (notification, timeout or
+//! poisoned lock). [`Sender::send`] reads the count under the same
+//! lock and calls `notify_one` only when it is non-zero, so enqueueing
+//! for a consumer that is busy or polling costs no wake-up syscall.
+//! No wake-up is lost: a receiver holds the lock from its empty-queue
+//! check until the wait releases it, so a send either lands before the
+//! check or sees the receiver counted. The sender count lives under
+//! the same lock, so the last sender's disconnect cannot be lost
+//! either.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -60,12 +75,25 @@ struct State<T> {
     closed: bool,
     /// Notifications lost to the overflow policy on this channel.
     dropped: u64,
+    /// Receivers blocked in [`Receiver::recv_timeout`] right now; a
+    /// send wakes one only when this is non-zero.
+    waiting: usize,
+    /// Live senders. Kept under the lock with `waiting`, so the last
+    /// sender's disconnect cannot slip between a receiver's check and
+    /// its wait.
+    senders: usize,
+}
+
+impl<T> State<T> {
+    /// Severed: closed by an overflow, or every sender gone.
+    fn severed(&self) -> bool {
+        self.closed || self.senders == 0
+    }
 }
 
 struct Inner<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
-    senders: AtomicUsize,
     receivers: AtomicUsize,
 }
 
@@ -84,9 +112,10 @@ pub(crate) fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>,
             buf: VecDeque::new(),
             closed: false,
             dropped: 0,
+            waiting: 0,
+            senders: 1,
         }),
         ready: Condvar::new(),
-        senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
     });
     (
@@ -116,6 +145,11 @@ impl<T> Sender<T> {
     /// Enqueues a notification without ever blocking. Overflow is
     /// resolved by the channel's policy; `Err` means the channel is
     /// severed and the subscription should be garbage-collected.
+    ///
+    /// Wakes a receiver only if one is blocked in
+    /// [`Receiver::recv_timeout`] (see the module's wake rule): with no
+    /// receiver waiting, a send is one uncontended lock and a queue
+    /// push, no syscall and, once the queue has grown, no allocation.
     pub(crate) fn send(&self, msg: T) -> Result<SendOutcome, Disconnected> {
         if self.inner.receivers.load(Ordering::Acquire) == 0 {
             return Err(Disconnected);
@@ -139,8 +173,11 @@ impl<T> Sender<T> {
                 OverflowPolicy::Disconnect => {
                     s.closed = true;
                     s.buf.clear();
+                    let wake = s.waiting > 0;
                     drop(s);
-                    self.inner.ready.notify_all();
+                    if wake {
+                        self.inner.ready.notify_all();
+                    }
                     return Err(Disconnected);
                 }
             }
@@ -148,15 +185,18 @@ impl<T> Sender<T> {
             s.buf.push_back(msg);
             SendOutcome::Delivered
         };
+        let wake = s.waiting > 0;
         drop(s);
-        self.inner.ready.notify_one();
+        if wake {
+            self.inner.ready.notify_one();
+        }
         Ok(outcome)
     }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.inner.senders.fetch_add(1, Ordering::AcqRel);
+        self.inner.state().senders += 1;
         Sender {
             inner: Arc::clone(&self.inner),
             capacity: self.capacity,
@@ -167,9 +207,9 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender: wake blocked receivers so they observe the
-            // disconnect.
+        let mut s = self.inner.state();
+        s.senders -= 1;
+        if s.senders == 0 && s.waiting > 0 {
             self.inner.ready.notify_all();
         }
     }
@@ -192,7 +232,7 @@ impl<T> Receiver<T> {
         if let Some(msg) = s.buf.pop_front() {
             return Ok(msg);
         }
-        if s.closed || self.inner.senders.load(Ordering::Acquire) == 0 {
+        if s.severed() {
             Err(TryRecvError::Disconnected)
         } else {
             Err(TryRecvError::Empty)
@@ -201,6 +241,10 @@ impl<T> Receiver<T> {
 
     /// Blocking receive with a timeout. `None` on timeout or
     /// disconnect.
+    ///
+    /// While parked the receiver is counted in the channel state, so
+    /// sends wake it; the count is taken back after every return from
+    /// the wait, timed out or poisoned alike.
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         let deadline = Instant::now().checked_add(timeout);
         let mut s = self.inner.state();
@@ -208,7 +252,7 @@ impl<T> Receiver<T> {
             if let Some(msg) = s.buf.pop_front() {
                 return Some(msg);
             }
-            if s.closed || self.inner.senders.load(Ordering::Acquire) == 0 {
+            if s.severed() {
                 return None;
             }
             let wait = match deadline {
@@ -222,12 +266,14 @@ impl<T> Receiver<T> {
                 // Unrepresentable deadline: wait in long slices.
                 None => Duration::from_secs(3600),
             };
+            s.waiting += 1;
             let (guard, _timed_out) = self
                 .inner
                 .ready
                 .wait_timeout(s, wait)
                 .unwrap_or_else(|e| e.into_inner());
             s = guard;
+            s.waiting -= 1;
         }
     }
 
@@ -243,7 +289,7 @@ impl<T> Receiver<T> {
 
     /// Whether the channel is severed (regardless of queued backlog).
     pub(crate) fn is_disconnected(&self) -> bool {
-        self.inner.state().closed || self.inner.senders.load(Ordering::Acquire) == 0
+        self.inner.state().severed()
     }
 }
 
@@ -341,5 +387,78 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Some(99));
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn waiting_count_is_restored_after_every_wait() {
+        let (tx, rx) = channel(0, OverflowPolicy::DropOldest);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(2)), None);
+        assert_eq!(rx.inner.state().waiting, 0);
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            tx.send(7).unwrap();
+            tx
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Some(7));
+        assert_eq!(rx.inner.state().waiting, 0);
+        // No receiver parked: sends leave the count alone.
+        let tx = handle.join().unwrap();
+        tx.send(8).unwrap();
+        assert_eq!(rx.inner.state().waiting, 0);
+        assert_eq!(rx.try_recv(), Ok(8));
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_a_blocked_receiver() {
+        // The disconnect must not slip between a receiver's
+        // severed-check and its wait: each blocked receiver returns
+        // `None` well within its 10 s timeout.
+        //
+        // Spins (yielding only if the other thread is not running, as on
+        // one core) until `go` reads `v`.
+        fn await_go(go: &AtomicUsize, v: usize) {
+            let mut spins = 0u32;
+            while go.load(Ordering::Acquire) != v {
+                if spins < 10_000 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        for i in 0..5000u32 {
+            let (tx, rx) = channel::<u32>(0, OverflowPolicy::DropOldest);
+            let clone = tx.clone();
+            // Both threads spin up to the start line rather than block,
+            // so neither pays a wake-up latency that would swamp the
+            // race window.
+            let go = Arc::new(AtomicUsize::new(0));
+            let waiter = std::thread::spawn({
+                let go = Arc::clone(&go);
+                move || {
+                    go.store(1, Ordering::Release);
+                    await_go(&go, 2);
+                    let woke = rx.recv_timeout(Duration::from_secs(10));
+                    (woke, Instant::now())
+                }
+            });
+            drop(clone);
+            await_go(&go, 1);
+            go.store(2, Ordering::Release);
+            // Vary where the drop lands relative to the receiver's
+            // check-then-wait window.
+            for _ in 0..i % 64 {
+                std::hint::spin_loop();
+            }
+            drop(tx); // the last sender
+            let dropped_at = Instant::now();
+            let (woke, returned_at) = waiter.join().unwrap();
+            assert_eq!(woke, None, "iteration {i}");
+            assert!(
+                returned_at.saturating_duration_since(dropped_at) < Duration::from_secs(1),
+                "iteration {i}: receiver slept through the disconnect"
+            );
+        }
     }
 }

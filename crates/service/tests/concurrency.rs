@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ens_filter::RebuildPolicy;
 use ens_service::{Broker, BrokerConfig};
@@ -223,6 +224,144 @@ fn publish_batch_is_ordered_and_matches_oracle() {
             .collect();
         assert_eq!(arrival, expected, "subscriber {}", sub.id());
     }
+}
+
+/// The wake path: consumers parked in `recv_timeout` are woken by
+/// concurrent publishers (a send wakes only a blocked receiver, so a
+/// lost wake-up would leave a consumer asleep for its full 30 s
+/// timeout — the time bound turns that into a failure, not a slow
+/// pass), and an unsubscribe wakes a parked consumer with `None`.
+#[test]
+fn blocked_consumers_are_woken_by_concurrent_publishers() {
+    let started = Instant::now();
+    let park = Duration::from_secs(30);
+    let schema = scenario::environmental_schema();
+    let mut rng = StdRng::seed_from_u64(14);
+    let profiles: Vec<Profile> = scenario::environmental_profiles(6, &mut rng)
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect();
+    let broker = Broker::new(&schema, BrokerConfig::default()).unwrap();
+    let subs = broker.subscribe_many(profiles.iter().cloned()).unwrap();
+    let generator =
+        EventGenerator::new(&schema, scenario::environmental_event_model().unwrap()).unwrap();
+    let events: Vec<Arc<Event>> = (0..600)
+        .map(|_| Arc::new(generator.sample(&mut rng)))
+        .collect();
+    let (first, second) = events.split_at(events.len() / 2);
+
+    let (received, sequences) = std::thread::scope(|scope| {
+        let consumers: Vec<_> = profiles
+            .iter()
+            .zip(&subs)
+            .map(|(profile, sub)| {
+                let want = events
+                    .iter()
+                    .filter(|e| profile.matches(&schema, e).unwrap())
+                    .count();
+                scope.spawn(move || {
+                    (0..want)
+                        .map(|k| match sub.recv_timeout(park) {
+                            Some(n) => n,
+                            None => panic!("subscriber {} timed out after {k}/{want}", sub.id()),
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let publishers: Vec<_> = [first, second]
+            .into_iter()
+            .map(|slice| {
+                let broker = &broker;
+                scope.spawn(move || {
+                    slice
+                        .iter()
+                        .enumerate()
+                        .map(|(k, e)| {
+                            // Pause now and then so consumers drain
+                            // their queues and park again.
+                            if k % 16 == 0 {
+                                std::thread::sleep(Duration::from_micros(200));
+                            }
+                            broker.publish_shared(Arc::clone(e)).unwrap().sequence
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let sequences: Vec<Vec<u64>> = publishers.into_iter().map(|h| h.join().unwrap()).collect();
+        let received: Vec<_> = consumers.into_iter().map(|h| h.join().unwrap()).collect();
+        (received, sequences)
+    });
+
+    let total: usize = received.iter().map(Vec::len).sum();
+    assert!(
+        total > 100,
+        "too few notifications ({total}) to exercise the wake path"
+    );
+    // Which publisher sent each sequence number, and which event it was.
+    let mut origin: HashMap<u64, (usize, &Arc<Event>)> = HashMap::new();
+    for (t, (seqs, slice)) in sequences.iter().zip([first, second]).enumerate() {
+        for (seq, e) in seqs.iter().zip(slice) {
+            origin.insert(*seq, (t, e));
+        }
+    }
+    for ((profile, sub), got) in profiles.iter().zip(&subs).zip(&received) {
+        // Per publisher, notifications arrive in sequence order.
+        for t in 0..2 {
+            let from_t: Vec<u64> = got
+                .iter()
+                .map(|n| n.sequence)
+                .filter(|s| origin[s].0 == t)
+                .collect();
+            assert!(
+                from_t.windows(2).all(|w| w[0] < w[1]),
+                "subscriber {}: publisher {t}'s events out of order",
+                sub.id()
+            );
+        }
+        let mut seqs: Vec<u64> = got.iter().map(|n| n.sequence).collect();
+        seqs.sort_unstable();
+        let mut expected: Vec<u64> = origin
+            .iter()
+            .filter(|(_, (_, e))| profile.matches(&schema, e).unwrap())
+            .map(|(seq, _)| *seq)
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(seqs, expected, "subscriber {}", sub.id());
+        for n in got {
+            assert_eq!(n.event.as_ref(), origin[&n.sequence].1.as_ref());
+        }
+        assert!(sub.try_recv().is_none(), "no extra notifications");
+    }
+
+    // A consumer parked on a subscription that is cancelled under it
+    // wakes with `None` promptly, not at the end of its timeout.
+    for _ in 0..20 {
+        let sub = broker.subscribe_profile(profiles[0].clone()).unwrap();
+        let id = sub.id();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(move || {
+                let woke = sub.recv_timeout(park);
+                (woke.is_none(), Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(5));
+            broker.unsubscribe(id).unwrap();
+            let cancelled = Instant::now();
+            let (none, returned) = parked.join().unwrap();
+            assert!(none, "a cancelled subscription delivers nothing");
+            assert!(
+                returned.saturating_duration_since(cancelled) < Duration::from_secs(2),
+                "consumer slept through its unsubscribe"
+            );
+        });
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "wake path too slow: {:?}",
+        started.elapsed()
+    );
 }
 
 // --- Property test: random profiles/events, concurrent replay ---------
